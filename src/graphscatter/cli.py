@@ -4,7 +4,7 @@ Subcommands: stot, poles, spectrum, verify, equiv, generate. Output is
 a pure function of the input file and flags; reruns are byte
 identical. Exit codes: 0 success, 1 file or parse problem, 2 invalid
 input data, 3 numerical failure (including verify/equiv tolerance
-violations).
+violations and stray numpy LinAlgErrors).
 """
 
 from __future__ import annotations
@@ -433,6 +433,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print("error: numerical failure (LinAlgError: %s)" % exc, file=sys.stderr)
         return 3
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

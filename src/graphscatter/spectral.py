@@ -3,20 +3,25 @@ compact-graph spectra.
 
 For commensurable edge lengths (all integer multiples of a declared
 unit) with constant vertex matrices the secular determinant
-det(E - s22) is a polynomial in zeta = exp(-i p unit). Its
-coefficients are recovered by sampling on the unit circle and an
-inverse discrete Fourier transform. Roots where the total scattering
-matrix stays bounded are classified as removable and dropped from the
-pole list by default.
+det(E - s22) is a polynomial in zeta = exp(-i p unit). It is the
+characteristic polynomial of the unit bond matrix U (Kottos &
+Smilansky, Ann. Phys. 274, 76, 1999): every directed internal slot of
+length m * unit owns m bonds, each bond hands its amplitude on to the
+next one, and the last bond of slot s applies row partner(s) of s22.
+Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U), so one
+eigendecomposition of U gives the polynomial, the poles with their
+multiplicities and the residues that tell genuine poles from
+removable determinant zeros.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .assemble import assemble_blocks, assemble_propagation, resolve_locals
@@ -42,11 +47,13 @@ __all__ = [
     "symmetry_factor_check",
 ]
 
-# coefficients below this fraction of the largest one count as zero
-COEFF_TRIM_RTOL = 1e-12
-# interpolation must reproduce held-out determinant samples this well
+# the polynomial must reproduce held-out determinant samples this well
 FIT_RTOL = 1e-9
 ROOT_DEDUP_TOL = 1e-8
+# a root whose residue in S_tot has at most this norm is removable; for
+# unitary vertex data that includes resonances with 1 - |zeta| below
+# about 5e-9
+RESIDUE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,10 @@ class SecularPolynomial:
     """det(E - s22) as a polynomial in zeta = exp(-i p unit_length).
 
     coefficients[k] multiplies zeta**k; degree_bound is the sum of
-    length/unit over all directed internal slots. The source system is
-    kept so that roots can be refined against the exact determinant.
+    length/unit over all directed internal slots, which is also the
+    size of the unit bond matrix whose characteristic polynomial this
+    is. The source system is kept so that find_poles can rebuild the
+    bond matrix.
     """
 
     unit_length: float
@@ -72,14 +81,15 @@ class SecularPolynomial:
 
 @dataclass(frozen=True)
 class PoleRecord:
-    """One root of the secular polynomial.
+    """One distinct nonzero eigenvalue of the unit bond matrix.
 
     p_representative is the principal momentum with
     exp(-i p unit_length) = zeta; the zeta value itself is the
-    authoritative location. multiplicity is the size of the root
-    cluster after deduplication. removable marks roots at which the
-    total scattering matrix stays bounded; they are only reported on
-    request.
+    authoritative location, and it is exactly real when its imaginary
+    part is below 1e-8. multiplicity is the number of eigenvalues in
+    the group, so a Jordan block counts once with its full size.
+    removable marks groups whose residue in the total scattering
+    matrix vanishes; they are only reported on request.
     """
 
     zeta: complex
@@ -111,29 +121,32 @@ def _slot_powers(idx: ModeIndex, unit: float) -> tuple[int, ...]:
     return tuple(powers)
 
 
-def _propagation_in_zeta(idx: ModeIndex, powers, zeta: complex, derivative: int = 0):
-    """E as a function of zeta, or its first or second zeta-derivative."""
-    n = idx.n_internal_slots
-    mat = np.zeros((n, n), dtype=complex)
-    for s in range(n):
-        m = powers[s]
-        if derivative == 0:
-            val = zeta**m
-        elif derivative == 1:
-            val = m * zeta ** (m - 1)
-        else:
-            val = m * (m - 1) * zeta ** (m - 2) if m >= 2 else 0.0
-        mat[idx.partner[s], s] = val
-    return mat
+def _bond_matrix(idx: ModeIndex, powers, s22: np.ndarray):
+    """Unit bond matrix U with det(E(zeta) - s22) = det(E(0)) det(zeta I - U).
+
+    Bond k of slot s carries zeta**k times the slot amplitude, so the
+    bonds of a slot form a shift chain and the last one closes it with
+    row partner(s) of s22. Returns U and the first and last bond
+    index of every slot.
+    """
+    last = np.cumsum(powers) - 1
+    first = last - np.asarray(powers) + 1
+    chain = np.setdiff1d(np.arange(last[-1]), last)
+    u = np.zeros((last[-1] + 1, last[-1] + 1), dtype=complex)
+    u[chain, chain + 1] = 1.0
+    u[np.ix_(last, first)] = s22[list(idx.partner)]
+    return u, first, last
 
 
 def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> SecularPolynomial:
-    """Fit the polynomial form of the secular determinant.
+    """Polynomial form of the secular determinant.
 
     Requires constant vertex matrices and all edge lengths integer
-    multiples of the unit. Samples the determinant at 2(D+1) roots of
-    unity where D is the degree bound, inverts the discrete Fourier
-    transform and verifies the fit at 8 held-out points.
+    multiples of the unit. The coefficients are det(E(0)) times the
+    inverse discrete Fourier transform of prod_k (nu - lambda_k) over
+    the D + 1 roots of unity nu, where lambda_k are the eigenvalues of
+    the unit bond matrix and D is the degree bound. The result is
+    checked against secular_determinant at 8 held-out momenta.
     """
     resolved = resolve_locals(g, locals_, idx)
     if not all(loc.is_constant for loc in resolved):
@@ -154,29 +167,24 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
         )
 
     s22 = assemble_blocks(g, resolved, idx, 0.0).int_int
-    n_samples = 2 * (degree + 1)
-    nodes = np.exp(-2j * np.pi * np.arange(n_samples) / n_samples)
-    values = np.array(
-        [np.linalg.det(_propagation_in_zeta(idx, powers, z) - s22) for z in nodes]
-    )
-    coeffs = np.fft.ifft(values)
+    u, _, _ = _bond_matrix(idx, powers, s22)
+    eigs = np.linalg.eigvals(u)
+    n_nodes = degree + 1
+    nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
+    values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
+    # E(0) pairs the slots of every edge, one transposition per edge
+    coeffs = (-1) ** g.n_internal * np.fft.ifft(values)
 
     scale = float(np.max(np.abs(coeffs)))
-    tail = float(np.max(np.abs(coeffs[degree + 1 :]))) if n_samples > degree + 1 else 0.0
-    if tail > COEFF_TRIM_RTOL * scale:
-        raise FitResidualTooLarge(
-            "sampled determinant is not a degree-%d polynomial (tail %.3e)"
-            % (degree, tail)
-        )
-    coeffs = np.ascontiguousarray(coeffs[: degree + 1])
-
-    held_out = np.exp(-2j * np.pi * (np.arange(8) + 0.5) / n_samples)
-    for z in held_out:
-        fitted = np.polynomial.polynomial.polyval(z, coeffs)
-        direct = np.linalg.det(_propagation_in_zeta(idx, powers, z) - s22)
-        if abs(fitted - direct) > FIT_RTOL * max(scale, 1e-300):
+    # lengths within the commensurability tolerance are taken as exact
+    snapped = replace(idx, slot_length=tuple(m * unit for m in powers))
+    for j in range(8):
+        p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
+        fitted = np.polynomial.polynomial.polyval(np.exp(-1j * p * unit), coeffs)
+        direct = secular_determinant(g, resolved, snapped, p)
+        if not abs(fitted - direct) <= FIT_RTOL * scale:  # also catches NaN
             raise FitResidualTooLarge(
-                "fit residual %.3e at held-out point" % abs(fitted - direct)
+                "polynomial residual %.3e at held-out point" % abs(fitted - direct)
             )
 
     coeffs.flags.writeable = False
@@ -191,132 +199,89 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     )
 
 
-def _refine_root(poly: SecularPolynomial, s22: np.ndarray, zeta: complex) -> complex:
-    """Newton steps on the reciprocal logarithmic derivative of the
-    determinant; its zeros are simple at every root, so multiple roots
-    do not lose accuracy."""
-    idx = poly.index
-    powers = poly.slot_powers
-    z = complex(zeta)
-    for _ in range(5):
-        m = _propagation_in_zeta(idx, powers, z) - s22
-        mp = _propagation_in_zeta(idx, powers, z, derivative=1)
-        mpp = _propagation_in_zeta(idx, powers, z, derivative=2)
-        try:
-            x = np.linalg.solve(m, mp)
-            y = np.linalg.solve(m, mpp)
-        except np.linalg.LinAlgError:
+def _eigen_groups(u: np.ndarray):
+    """Eigenvalues of u grouped into distinct roots.
+
+    Each eigenvalue has the first-order error bound
+    eps ||u|| / |w_k^H v_k| (unit left and right eigenvectors). Two
+    eigenvalues join a group when they lie within ROOT_DEDUP_TOL of
+    each other or within 16 times the smaller of their two bounds,
+    which keeps the split copies of a Jordan block together. Returns
+    the eigenvalues, the right and left eigenvectors as columns and
+    one index array per group. Left eigenvectors come from the same
+    LAPACK call rather than from V^-1, which is singular whenever a
+    bond chain is exactly nilpotent (a lead vertex of degree 2 at the
+    end of an edge longer than the unit).
+    """
+    lam, left, right = scipy.linalg.eig(u, left=True, right=True)
+    overlap = np.abs(np.sum(left.conj() * right, axis=0))
+    with np.errstate(divide="ignore"):
+        bound = np.finfo(float).eps * np.linalg.norm(u, 2) / overlap
+    reach = np.maximum(16.0 * np.minimum.outer(bound, bound), ROOT_DEDUP_TOL)
+    linked = np.abs(lam[:, None] - lam[None, :]) <= reach
+    group_of = np.arange(len(lam))
+    # connected components by repeated minimum-label propagation
+    while True:
+        merged = np.min(np.where(linked, group_of[None, :], len(lam)), axis=1)
+        if np.array_equal(merged, group_of):
             break
-        t = np.trace(x)
-        tp = np.trace(y) - np.trace(x @ x)
-        if tp == 0:
-            break
-        step = t / tp
-        z = z + step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
-    return z
+        group_of = merged
+    groups = [np.flatnonzero(group_of == label) for label in np.unique(group_of)]
+    return lam, right, left, groups
 
 
-def _cluster_roots(roots) -> list[tuple[complex, int]]:
-    """Greedy chaining within ROOT_DEDUP_TOL; returns (mean, size)."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                if any(abs(r - m) <= ROOT_DEDUP_TOL for m in members):
-                    members.append(r)
-                    remaining.remove(r)
-                    changed = True
-        clusters.append((sum(members) / len(members), len(members)))
-    return clusters
-
-
-def _bounded_at(poly: SecularPolynomial, s22: np.ndarray, zeta: complex, radius: float) -> float:
-    """Largest total-scattering entry magnitude on a small circle."""
-    g = poly.graph
-    idx = poly.index
-    blocks = assemble_blocks(g, poly.vertex_locals, idx, 0.0)
-    worst = 0.0
-    for angle in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
-        z = zeta + radius * cmath.exp(1j * angle)
-        m = _propagation_in_zeta(idx, poly.slot_powers, z) - s22
-        try:
-            core = np.linalg.solve(m, blocks.int_ext)
-        except np.linalg.LinAlgError:
-            return math.inf
-        s = blocks.ext_ext + blocks.ext_int @ core
-        worst = max(worst, float(np.max(np.abs(s))))
-    return worst
-
-
-def _pole_order(poly, s22, zeta: complex, nearest: float) -> int:
-    """Growth exponent of the total scattering matrix at a root: 0 for
-    removable, k for a pole of order k."""
-    radius = min(1e-4, nearest / 16.0)
-    big = _bounded_at(poly, s22, zeta, radius)
-    small = _bounded_at(poly, s22, zeta, radius / 8.0)
-    if big == 0.0 or not math.isfinite(big) or not math.isfinite(small):
-        return 1
-    return max(0, round(math.log(small / big) / math.log(8.0)))
+def _group_residue(blocks, e0_s21, v_g, w_g, first, last) -> float:
+    """Norm of s12 P_g E(0) s21 for the spectral projector
+    P_g = V_g (W_g^H V_g)^-1 W_g^H of one eigenvalue group, restricted
+    to first-bond rows and last-bond columns. This is the residue of
+    S_tot at the group. When W_g^H V_g is exactly singular the
+    eigenvectors do not resolve the group; its residue is then taken
+    as infinite so that it is never called removable."""
+    try:
+        coupling = np.linalg.solve(w_g.conj().T @ v_g, w_g[last].conj().T)
+    except np.linalg.LinAlgError:
+        return math.inf
+    return float(np.linalg.norm(blocks.ext_int @ v_g[first] @ coupling @ e0_s21, 2))
 
 
 def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list[PoleRecord]:
     """Roots of the secular polynomial in zeta.
 
-    Companion-matrix eigenvalues refined by Newton iteration,
-    deduplicated within 1e-8 (multiplicity = cluster size) and sorted
-    by modulus then argument. Roots where the total scattering matrix
-    stays bounded are dropped unless include_removable is set; for a
-    compact graph every root is kept since there is no external block
-    to probe.
+    The roots are the nonzero eigenvalues of the unit bond matrix,
+    grouped as in _eigen_groups (multiplicity = group size) and sorted
+    by modulus then argument. A group is removable when its residue in
+    the total scattering matrix is at most RESIDUE_TOL; removable
+    groups are dropped unless include_removable is set. For a compact
+    graph every root is kept since there is no external block.
     """
-    c = np.asarray(poly.coefficients)
-    if len(c) == 0:
-        raise DegenerateConstantPolynomial("empty polynomial has no roots")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        raise DegenerateConstantPolynomial("zero polynomial")
-    keep = np.abs(c) >= COEFF_TRIM_RTOL * scale
-    first = int(np.argmax(keep))
-    last = len(c) - 1 - int(np.argmax(keep[::-1]))
-    if last - first < 1:
-        if poly.degree_bound == 0:
-            raise DegenerateConstantPolynomial(
-                "graph has no internal edges; determinant is constant"
-            )
-        # monomial c*zeta^k: no roots away from zeta = 0, hence no poles
-        return []
-    window = c[first : last + 1]
+    if poly.degree_bound == 0:
+        raise DegenerateConstantPolynomial(
+            "graph has no internal edges; determinant is constant"
+        )
+    g, idx = poly.graph, poly.index
+    blocks = assemble_blocks(g, poly.vertex_locals, idx, 0.0)
+    u, first, last = _bond_matrix(idx, poly.slot_powers, blocks.int_int)
+    lam, right, left, groups = _eigen_groups(u)
+    e0_s21 = assemble_propagation(g, idx, 0.0).matrix @ blocks.int_ext
 
-    raw = np.roots(window[::-1])
-    s22 = assemble_blocks(poly.graph, poly.vertex_locals, poly.index, 0.0).int_int
-    refined = [_refine_root(poly, s22, z) for z in raw]
-    clusters = _cluster_roots(refined)
-
-    classify = poly.graph.n_external > 0
     records = []
-    for zeta, size in clusters:
-        if classify:
-            others = [abs(zeta - other) for other, _ in clusters if other is not zeta]
-            nearest = min(others) if others else math.inf
-            order = _pole_order(poly, s22, zeta, nearest)
-            removable = order == 0
-        else:
-            removable = False
+    for members in groups:
+        zeta = complex(np.mean(lam[members]))
+        if abs(zeta) <= ROOT_DEDUP_TOL:
+            continue
+        if abs(zeta.imag) <= ROOT_DEDUP_TOL:
+            zeta = complex(zeta.real, 0.0)
+        removable = g.n_external > 0 and (
+            _group_residue(blocks, e0_s21, right[:, members], left[:, members], first, last)
+            <= RESIDUE_TOL
+        )
         if removable and not include_removable:
             continue
-        p_rep = 1j * cmath.log(zeta) / poly.unit_length
         records.append(
             PoleRecord(
                 zeta=zeta,
-                p_representative=p_rep,
-                multiplicity=size,
+                p_representative=1j * cmath.log(zeta) / poly.unit_length,
+                multiplicity=len(members),
                 removable=removable,
             )
         )
@@ -400,7 +365,11 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
         )
         p_root = float(result.x)
         for _ in range(5):
-            t, tp = _momentum_determinant_traces(g, resolved, idx, p_root)
+            try:
+                t, tp = _momentum_determinant_traces(g, resolved, idx, p_root)
+            except np.linalg.LinAlgError:
+                # the minimizer landed exactly on a root
+                break
             if tp == 0:
                 break
             step_c = t / tp

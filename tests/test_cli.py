@@ -14,6 +14,7 @@ from graphscatter import (
     save_spec,
     total_scattering,
 )
+from graphscatter import cli
 from graphscatter.cli import main
 
 
@@ -288,3 +289,27 @@ def test_p_list_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--graph", graph, "--p-list", "0.7,zebra"])
     assert exc.value.code == 2
+
+
+def test_stray_linalg_error_exits_3(tmp_path, monkeypatch, capsys):
+    graph = gen(tmp_path, "tadpole")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "find_poles", singular)
+    assert main(["poles", "--graph", graph]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "LinAlgError: Singular matrix" in err
+
+
+def test_spectrum_cli_range_landing_on_roots(tmp_path):
+    graph = gen(tmp_path, "interval_compact")
+    out = tmp_path / "box.json"
+    rc = main(["spectrum", "--graph", graph, "--p-min", "0.5", "--p-max", "7",
+               "--out", str(out)])
+    assert rc == 0
+    found = np.array(read_json(out)["p"])
+    assert found.shape == (2,)
+    assert np.max(np.abs(found - [math.pi, 2 * math.pi])) < 1e-14

@@ -4,12 +4,15 @@ import pytest
 from graphscatter import (
     DegenerateConstantPolynomial,
     EmptyInterval,
+    FitResidualTooLarge,
     FixtureUnknown,
     GraphSpec,
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
     ValidationError,
+    assemble_blocks,
+    assemble_propagation,
     build_graph,
     canonical,
     commuting_colour_matrices,
@@ -25,6 +28,7 @@ from graphscatter import (
     symmetry_factor_check,
     tetra2_local,
 )
+from graphscatter import spectral
 from _helpers import random_graph, random_locals
 
 
@@ -273,3 +277,147 @@ def test_commuting_colour_matrices_properties():
         assert np.array_equal(m @ m, np.eye(8))
         assert np.all(m.sum(axis=0) == 1.0)
         assert np.all(np.diag(m) == 0.0)
+
+
+# --- bond-matrix pole engine -------------------------------------------
+
+
+def lead_ring(n, seed):
+    """Ring of n unit edges plus n // 2 random unit chords and 6 leads,
+    Kirchhoff vertices."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    for _ in range(n // 2):
+        a, b = rng.choice(n, 2, replace=False)
+        edges.append((int(a), int(b), 1.0))
+    leads = tuple(int(v) for v in rng.choice(n, 6, replace=False))
+    g = build_graph(GraphSpec(n, tuple(edges), leads))
+    return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
+
+
+def assert_genuine(g, locs, idx, poly, records):
+    """Checks that do not use the pole engine: the polynomial vanishes at
+    every reported zeta and max|S_tot| grows tenfold when zeta (1 + delta)
+    moves from delta = 1e-4 to delta = 1e-5."""
+    scale = float(np.max(np.abs(poly.coefficients)))
+    blocks = assemble_blocks(g, locs, idx, 0.0)
+
+    def peak(zeta):
+        p = 1j * np.log(zeta) / poly.unit_length
+        m = assemble_propagation(g, idx, p).matrix - blocks.int_int
+        s = blocks.ext_ext + blocks.ext_int @ np.linalg.solve(m, blocks.int_ext)
+        return float(np.max(np.abs(s)))
+
+    for rec in records:
+        assert abs(poly(rec.zeta)) < 1e-10 * scale
+        growth = peak(rec.zeta * (1 + 1e-5)) / peak(rec.zeta * (1 + 1e-4))
+        assert 8.0 < growth < 12.0, (rec.zeta, growth)
+
+
+def test_find_poles_lead_ring_keeps_lowest_resonance():
+    g, locs, idx = lead_ring(45, 0)
+    poly = secular_polynomial(g, locs, idx, 1.0)
+    poles = find_poles(poly)
+    lowest = [rec for rec in poles if rec.zeta.imag == 0.0 and 0.9 < rec.zeta.real < 0.92]
+    assert len(lowest) == 1
+    assert abs(lowest[0].zeta - 0.910279) < 1e-6
+    assert_genuine(g, locs, idx, poly, poles)
+    everything = find_poles(poly, include_removable=True)
+    assert sum(rec.multiplicity for rec in everything) == poly.degree_bound
+
+
+def test_find_poles_dodecahedron_second_family():
+    g, _ = platonic("dodecahedron")
+    idx = mode_index(g)
+    locs = [tetra2_local(v) for v in range(g.vertex_count)]
+    poly = secular_polynomial(g, locs, idx, 1.0)
+    poles = find_poles(poly)
+    assert len(poles) == 11
+    for want in (0.5, 0.5449, -0.5449, -0.5598, -0.7953, 0.9176):
+        assert min(abs(rec.zeta - want) for rec in poles) < 1e-4
+    assert_genuine(g, locs, idx, poly, poles)
+    everything = find_poles(poly, include_removable=True)
+    assert sum(rec.multiplicity for rec in everything) == poly.degree_bound == 60
+    assert {rec.zeta for rec in everything if rec.removable} == {1.0, -1.0}
+
+
+def test_find_poles_pendant_leads_on_long_edges():
+    # a lead vertex of degree 2 at the end of an edge of m > 1 units
+    # makes a bond chain exactly nilpotent
+    line = build_graph(GraphSpec(2, ((0, 1, 3.0),), (0, 1)))
+    kirch = [kirchhoff_local(v, 2) for v in range(2)]
+    assert find_poles(secular_polynomial(line, kirch, mode_index(line), 1.0)) == []
+
+    g = build_graph(
+        GraphSpec(5, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (0, 3, 2.0), (2, 4, 3.0)), (3, 4, 1))
+    )
+    idx = mode_index(g)
+    locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
+    poly = secular_polynomial(g, locs, idx, 1.0)
+    poles = find_poles(poly)
+    assert poles
+    assert_genuine(g, locs, idx, poly, poles)
+
+
+def test_eigen_groups_keep_jordan_block_together():
+    jordan = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+    basis = np.array([[1.0, 2.0 + 1.0j], [-0.5j, 1.0]])
+    for u in (jordan, basis @ jordan @ np.linalg.inv(basis)):
+        lam, _, _, groups = spectral._eigen_groups(u)
+        assert [len(members) for members in groups] == [2]
+        assert abs(np.mean(lam) - 0.5) < 1e-12
+
+
+def test_real_roots_have_zero_imaginary_part():
+    g, _ = platonic("tetrahedron")
+    idx = mode_index(g)
+    locs = [tetra2_local(v) for v in range(4)]
+    records = find_poles(secular_polynomial(g, locs, idx, 1.0), include_removable=True)
+    real = [rec for rec in records if abs(rec.zeta.imag) < 1e-6]
+    assert len(real) == 5
+    for rec in real:
+        assert rec.zeta.imag == 0.0
+    (minus_one,) = [rec for rec in real if abs(rec.zeta + 1.0) < 1e-9]
+    assert minus_one.p_representative.real == -np.pi
+
+
+def test_polynomial_checks_against_secular_determinant(monkeypatch):
+    g, locs, idx = interval_system()
+    exact = spectral.secular_determinant
+    monkeypatch.setattr(
+        spectral, "secular_determinant", lambda *args: exact(*args) + 1e-6
+    )
+    with pytest.raises(FitResidualTooLarge):
+        secular_polynomial(g, locs, idx, 1.0)
+
+
+def test_compact_spectrum_ranges_that_land_on_roots():
+    g, locs, idx = interval_system()
+    for lo, hi in ((0.5, 7.0), (0.1, 4.0), (0.1, 50.0)):
+        got = compact_spectrum(g, locs, idx, lo, hi)
+        want = np.pi * np.arange(1, int(hi / np.pi) + 1)
+        assert len(got) == len(want)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14
+
+
+def test_compact_spectrum_near_degenerate_triangle():
+    g = build_graph(GraphSpec(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.01)), ()))
+    idx = mode_index(g)
+    locs = [kirchhoff_local(v, 2) for v in range(3)]
+    got = compact_spectrum(g, locs, idx, 0.05, 7.0)
+    want = [2 * np.pi * n / 3.01 for n in (1, 2, 3)]
+    assert len(got) == 3
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_polynomial_accepts_lengths_within_tolerance():
+    g, _ = platonic("dodecahedron")
+    spec = GraphSpec(
+        g.vertex_count,
+        tuple((e.u, e.v, 1.0 + 5e-10) for e in g.internal_edges),
+        tuple(e.vertex for e in g.external_edges),
+    )
+    g = build_graph(spec)
+    idx = mode_index(g)
+    locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
+    assert secular_polynomial(g, locs, idx, 1.0).degree_bound == 60
