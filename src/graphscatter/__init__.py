@@ -55,8 +55,10 @@ from .assemble import (
 )
 from .solve import (
     TotalSMatrix,
+    grid_defects,
     internal_modes,
     path_sum_oracle,
+    scattering_grid,
     total_scattering,
     verify_involution,
     verify_unitarity,

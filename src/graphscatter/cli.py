@@ -5,24 +5,24 @@ a pure function of the input file and flags; reruns are byte
 identical. Exit codes: 0 success, 1 file or parse problem, 2 invalid
 input data, 3 numerical failure (including verify/equiv tolerance
 violations and stray numpy LinAlgErrors).
+
+stot, verify and equiv solve their whole momentum grid in this process
+with ``scattering_grid``; ``--workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import NearPole, NumericalError, SpecFileError, ValidationError
+from .errors import NumericalError, SpecFileError, ValidationError
 from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic, triangle_and_star_pair
 from .graph import build_graph, mode_index
 from .local import kirchhoff_local
-from .solve import total_scattering, verify_involution, verify_unitarity
+from .solve import grid_defects, scattering_grid
 from .specfile import graph_to_spec, load_spec, locals_from_spec, save_spec, spec_to_dict
 from .spectral import compact_spectrum, find_poles, secular_polynomial
 
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=64)
         p.add_argument("--p-list", type=_parse_p_list, default=None,
                        help="explicit momenta, overriding the grid flags")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="ignored, kept for compatibility (must be at least 1)")
 
     p_stot = sub.add_parser("stot", help="total scattering matrix over a momentum grid")
     p_stot.add_argument("--graph", required=True)
@@ -101,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _momentum_grid(args) -> list:
+    if args.workers < 1:
+        raise ValidationError("--workers must be at least 1")
     if args.p_list is not None:
         return list(args.p_list)
     if args.steps < 1:
@@ -139,65 +142,9 @@ def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-# worker-side state, set once per process by the pool initializer
-_STATE: dict = {}
-
-
-def _init_graph_worker(path):
-    spec = load_spec(path)
-    g = build_graph(spec)
-    _STATE["system"] = (g, locals_from_spec(spec, g), mode_index(g))
-
-
-def _init_pair_worker(path_a, path_b):
-    _init_graph_worker(path_a)
-    _STATE["system_a"] = _STATE.pop("system")
-    _init_graph_worker(path_b)
-    _STATE["system_b"] = _STATE.pop("system")
-
-
-def _stot_point(p):
-    g, locs, idx = _STATE["system"]
-    try:
-        return False, total_scattering(g, locs, idx, p).matrix
-    except NearPole:
-        return True, None
-
-
-def _verify_point(p):
-    g, locs, idx = _STATE["system"]
-    try:
-        return False, verify_involution(g, locs, idx, p), verify_unitarity(g, locs, idx, p)
-    except NearPole:
-        return True, None, None
-
-
-def _equiv_point(p):
-    ga, la, ia = _STATE["system_a"]
-    gb, lb, ib = _STATE["system_b"]
-    try:
-        sa = total_scattering(ga, la, ia, p).matrix
-        sb = total_scattering(gb, lb, ib, p).matrix
-    except NearPole:
-        return True, None
-    return False, float(np.max(np.abs(sa - sb)))
-
-
-def _map_grid(initializer, init_args, point_fn, grid, workers):
-    if workers < 1:
-        raise ValidationError("--workers must be at least 1")
-    if workers == 1 or len(grid) <= 1:
-        initializer(*init_args)
-        return [point_fn(p) for p in grid]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(grid)),
-        mp_context=ctx,
-        initializer=initializer,
-        initargs=init_args,
-    ) as pool:
-        chunk = max(1, len(grid) // (4 * workers))
-        return list(pool.map(point_fn, grid, chunksize=chunk))
+# (k, k, 3) re, im, |.|^2 of each entry; per matrix, to cap output memory
+def _entry_parts(mat):
+    return np.stack([mat.real, mat.imag, np.abs(mat) ** 2], axis=-1)
 
 
 def _load_system(path):
@@ -207,43 +154,26 @@ def _load_system(path):
 
 
 def cmd_stot(args) -> int:
-    _, g, _, _ = _load_system(args.graph)  # fail fast on bad input
+    _, g, locs, idx = _load_system(args.graph)
     grid = _momentum_grid(args)
-    results = _map_grid(_init_graph_worker, (args.graph,), _stot_point, grid, args.workers)
+    stack, near = scattering_grid(g, locs, idx, grid)
 
     k = g.n_external
     if args.format == "json":
-        records = []
-        for p, (flagged, mat) in zip(grid, results):
-            if flagged:
-                records.append({"p": p, "near_pole": True, "matrix": None, "abs2": None})
-            else:
-                records.append(
-                    {
-                        "p": p,
-                        "near_pole": False,
-                        "matrix": [[_complex_pair(z) for z in row] for row in mat],
-                        "abs2": [[float(abs(z) ** 2) for z in row] for row in mat],
-                    }
-                )
+        records = [
+            {"p": p, "near_pole": flagged,
+             "matrix": None if flagged else part[..., :2].tolist(),
+             "abs2": None if flagged else part[..., 2].tolist()}
+            for p, flagged, part in zip(grid, near.tolist(), map(_entry_parts, stack))
+        ]
         text = _json_text({"command": "stot", "external_modes": k, "results": records})
     else:
-        header = ["p", "near_pole"]
-        for i in range(k):
-            for j in range(k):
-                header += ["re_%d_%d" % (i + 1, j + 1), "im_%d_%d" % (i + 1, j + 1),
-                           "abs2_%d_%d" % (i + 1, j + 1)]
-        rows = []
-        for p, (flagged, mat) in zip(grid, results):
-            row = [p, 1 if flagged else 0]
-            if flagged:
-                row += [float("nan")] * (3 * k * k)
-            else:
-                for i in range(k):
-                    for j in range(k):
-                        z = mat[i, j]
-                        row += [float(z.real), float(z.imag), float(abs(z) ** 2)]
-            rows.append(row)
+        header = ["p", "near_pole"] + [
+            "%s_%d_%d" % (name, i + 1, j + 1)
+            for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
+        ]
+        rows = [[p, int(flagged), *_entry_parts(mat).ravel().tolist()]
+                for p, flagged, mat in zip(grid, near.tolist(), stack)]
         text = _csv_text(header, rows)
     _emit(text, args.out)
     return 0
@@ -294,41 +224,36 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _max_unflagged(values, near):
+    return float(np.max(values[~near])) if not near.all() else None
+
+
+def _unless_flagged(values, near):
+    return [None if flagged else v for flagged, v in zip(near.tolist(), values.tolist())]
+
+
 def cmd_verify(args) -> int:
     if args.tol <= 0:
         raise ValidationError("--tol must be positive")
-    _load_system(args.graph)
+    _, g, locs, idx = _load_system(args.graph)
     grid = _momentum_grid(args)
-    results = _map_grid(_init_graph_worker, (args.graph,), _verify_point, grid, args.workers)
-
-    defects = [(inv, uni) for flagged, inv, uni in results if not flagged]
-    max_inv = max((d[0] for d in defects), default=None)
-    max_uni = max((d[1] for d in defects), default=None)
+    inv, uni, near = grid_defects(g, locs, idx, grid)
+    max_inv, max_uni = (_max_unflagged(d, near) for d in (inv, uni))
     ok = max_inv is not None and max(max_inv, max_uni) <= args.tol
 
     if args.format == "json":
         records = [
-            {"p": p, "near_pole": flagged, "involution_defect": inv, "unitarity_defect": uni}
-            for p, (flagged, inv, uni) in zip(grid, results)
+            {"p": p, "near_pole": flagged, "involution_defect": i, "unitarity_defect": u}
+            for p, flagged, i, u in zip(grid, near.tolist(), _unless_flagged(inv, near),
+                                        _unless_flagged(uni, near))
         ]
-        text = _json_text(
-            {
-                "command": "verify",
-                "tolerance": args.tol,
-                "max_involution_defect": max_inv,
-                "max_unitarity_defect": max_uni,
-                "pass": ok,
-                "results": records,
-            }
-        )
+        text = _json_text({"command": "verify", "tolerance": args.tol,
+                           "max_involution_defect": max_inv, "max_unitarity_defect": max_uni,
+                           "pass": ok, "results": records})
     else:
         header = ["p", "near_pole", "involution_defect", "unitarity_defect"]
-        rows = [
-            [p, 1 if flagged else 0,
-             float("nan") if inv is None else inv,
-             float("nan") if uni is None else uni]
-            for p, (flagged, inv, uni) in zip(grid, results)
-        ]
+        rows = [[p, int(flagged), i, u]
+                for p, flagged, i, u in zip(grid, near.tolist(), inv.tolist(), uni.tolist())]
         text = _csv_text(header, rows)
     _emit(text, args.out)
     return 0 if ok else 3
@@ -337,42 +262,32 @@ def cmd_verify(args) -> int:
 def cmd_equiv(args) -> int:
     if args.tol <= 0:
         raise ValidationError("--tol must be positive")
-    _, ga, _, _ = _load_system(args.graph)
-    _, gb, _, _ = _load_system(args.graph_b)
+    _, ga, la, ia = _load_system(args.graph)
+    _, gb, lb, ib = _load_system(args.graph_b)
     if ga.n_external != gb.n_external:
         raise ValidationError(
             "graphs have %d and %d external edges; cannot compare"
             % (ga.n_external, gb.n_external)
         )
     grid = _momentum_grid(args)
-    results = _map_grid(
-        _init_pair_worker, (args.graph, args.graph_b), _equiv_point, grid, args.workers
-    )
-
-    deviations = [dev for flagged, dev in results if not flagged]
-    max_dev = max(deviations, default=None)
+    sa, near_a = scattering_grid(ga, la, ia, grid)
+    sb, near_b = scattering_grid(gb, lb, ib, grid)
+    near = near_a | near_b
+    deviation = np.max(np.abs(sa - sb), axis=(1, 2), initial=0.0)
+    max_dev = _max_unflagged(deviation, near)
     ok = max_dev is not None and max_dev <= args.tol
 
     if args.format == "json":
         records = [
             {"p": p, "near_pole": flagged, "deviation": dev}
-            for p, (flagged, dev) in zip(grid, results)
+            for p, flagged, dev in zip(grid, near.tolist(), _unless_flagged(deviation, near))
         ]
-        text = _json_text(
-            {
-                "command": "equiv",
-                "tolerance": args.tol,
-                "max_deviation": max_dev,
-                "pass": ok,
-                "results": records,
-            }
-        )
+        text = _json_text({"command": "equiv", "tolerance": args.tol,
+                           "max_deviation": max_dev, "pass": ok, "results": records})
     else:
         header = ["p", "near_pole", "deviation"]
-        rows = [
-            [p, 1 if flagged else 0, float("nan") if dev is None else dev]
-            for p, (flagged, dev) in zip(grid, results)
-        ]
+        rows = [[p, int(flagged), dev]
+                for p, flagged, dev in zip(grid, near.tolist(), deviation.tolist())]
         text = _csv_text(header, rows)
     _emit(text, args.out)
     return 0 if ok else 3

@@ -9,8 +9,11 @@ and the internal amplitudes driven by an external vector a are
 
     B(p) = [E(-p) - s22(-p)]^{-1} s21(-p) a.
 
-A truncated multiple-reflection series is provided as an independent
-oracle for testing.
+Every momentum goes through ``scattering_grid``, which inverts the
+matrices M(p) = E(0) D(p) - s22 of a whole grid as one stack and takes
+exact singular values only where kappa_2 <= |M|_F |M^-1|_F cannot rule
+out a pole. A truncated multiple-reflection series is
+provided as an independent oracle for testing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from math import nan
 
 import numpy as np
-import scipy.linalg as sla
 
 from .assemble import assemble_blocks, assemble_propagation
 from .errors import NearPole, SeriesDiverges, SizeMismatch
@@ -28,6 +30,8 @@ from .graph import Graph, ModeIndex
 __all__ = [
     "TotalSMatrix",
     "NEAR_POLE_RTOL",
+    "scattering_grid",
+    "grid_defects",
     "total_scattering",
     "internal_modes",
     "path_sum_oracle",
@@ -37,6 +41,9 @@ __all__ = [
 
 # below this singular value ratio the resolvent is treated as singular
 NEAR_POLE_RTOL = 1e-12
+
+# resolvent entries per chunk of a grid; bounds a sweep's working memory
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -54,18 +61,77 @@ class TotalSMatrix:
         return (self.sigma_min, self.sigma_max)
 
 
-def _resolvent(g: Graph, locals_, idx: ModeIndex, p: complex):
-    """Blocks and the probed matrix E(p) - s22(p); raises NearPole when
-    the probe finds it numerically singular."""
-    blocks = assemble_blocks(g, locals_, idx, p)
-    prop = assemble_propagation(g, idx, p)
-    m = prop.matrix - blocks.int_int
-    sigma = np.linalg.svd(m, compute_uv=False)
-    s_max = float(sigma[0])
-    s_min = float(sigma[-1])
-    if s_min <= NEAR_POLE_RTOL * s_max:
-        raise NearPole(p, s_min, s_max)
-    return blocks, m, s_min, s_max
+def _inverse(m: np.ndarray):
+    """Inverse of the stack m and the mask of its exactly singular matrices,
+    which fail the batched LU: the stack is then inverted one by one."""
+    singular = np.zeros(len(m), dtype=bool)
+    try:
+        return np.linalg.inv(m), singular
+    except np.linalg.LinAlgError:
+        minv = np.full_like(m, nan)
+    for k, mk in enumerate(m):
+        try:
+            minv[k] = np.linalg.inv(mk)
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return minv, singular
+
+
+def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
+    """Solve the grid chunk by chunk, assembling the blocks once (per
+    point when a vertex matrix depends on momentum). Yields per chunk
+    (chunk, s_tot, m, core, near): its slice of the grid, the S_tot
+    stack, the resolvent stack M, core = M^-1 s21 and the near-pole
+    mask. Rows of flagged points hold meaningless values.
+    """
+    momenta = np.asarray(momenta)
+    constant = all(loc.is_constant for loc in locals_)
+    fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
+    e0 = assemble_propagation(g, idx, 0.0).matrix
+    lengths = np.asarray(idx.slot_length)
+    step = max(1, _CHUNK_ELEMENTS // max(1, idx.n_internal_slots ** 2))
+    for start in range(0, len(momenta), step):
+        p = momenta[start:start + step]
+        blocks = fixed or [assemble_blocks(g, locals_, idx, q) for q in p.tolist()]
+        s11, s12, s21, s22 = (np.stack([getattr(b, f) for b in blocks])
+                              for f in ("ext_ext", "ext_int", "int_ext", "int_int"))
+        # E(p) = E(0) D(p) scales column s of E(0) by exp(-i p d_s)
+        m = e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
+        minv, near = _inverse(m)
+        # kappa_2 <= |M|_F |M^-1|_F, squares summed on float views with no
+        # stack-sized temporaries; the factor 2 covers the inverse's rounding
+        sq = [np.einsum("kij,kij->k", a.view(float), a.view(float)) for a in (m, minv)]
+        bound = np.sqrt(sq[0] * sq[1])
+        for k in np.flatnonzero(~near & ~(bound < 0.5 / NEAR_POLE_RTOL)):
+            sigma = np.linalg.svd(m[k], compute_uv=False)
+            near[k] = sigma[-1] <= NEAR_POLE_RTOL * sigma[0]
+        core = minv @ s21
+        yield slice(start, start + len(p)), s11 + s12 @ core, m, core, near
+
+
+def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
+    """S_tot at every momentum of a grid: (stack, near_pole), the
+    (P, N_e, N_e) stack and the boolean (P,) mask of momenta near a
+    pole, whose rows of the stack are NaN."""
+    stack = np.empty((len(momenta), g.n_external, g.n_external), dtype=complex)
+    near = np.zeros(len(momenta), dtype=bool)
+    for chunk, s_tot, _, _, flags in _resolvent_chunks(g, locals_, idx, momenta):
+        stack[chunk] = s_tot
+        near[chunk] = flags
+    stack[near] = nan
+    return stack, near
+
+
+def _one_point(g: Graph, locals_, idx: ModeIndex, p: complex):
+    """(S_tot, core, sigma_min, sigma_max) at one momentum, from the
+    grid engine; raises NearPole with the exact singular values."""
+    ((_, s_tot, m, core, near),) = _resolvent_chunks(g, locals_, idx, [p])
+    if g.n_internal == 0:
+        return s_tot[0], core[0], nan, nan
+    sigma = np.linalg.svd(m[0], compute_uv=False)
+    if near[0]:
+        raise NearPole(p, float(sigma[-1]), float(sigma[0]))
+    return s_tot[0], core[0], float(sigma[-1]), float(sigma[0])
 
 
 def total_scattering(g: Graph, locals_, idx: ModeIndex, p: complex) -> TotalSMatrix:
@@ -74,13 +140,8 @@ def total_scattering(g: Graph, locals_, idx: ModeIndex, p: complex) -> TotalSMat
     For a graph with no internal edges this is the external block
     itself and no conditioning probe applies.
     """
-    if g.n_internal == 0:
-        blocks = assemble_blocks(g, locals_, idx, p)
-        return TotalSMatrix(blocks.ext_ext, p, nan, nan)
-    blocks, m, s_min, s_max = _resolvent(g, locals_, idx, p)
-    core = sla.solve(m, blocks.int_ext)
-    mat = blocks.ext_ext + blocks.ext_int @ core
-    return TotalSMatrix(mat, p, s_min, s_max)
+    s_tot, _, s_min, s_max = _one_point(g, locals_, idx, p)
+    return TotalSMatrix(s_tot, p, s_min, s_max)
 
 
 def internal_modes(g: Graph, locals_, idx: ModeIndex, p: complex, external) -> np.ndarray:
@@ -90,10 +151,8 @@ def internal_modes(g: Graph, locals_, idx: ModeIndex, p: complex, external) -> n
         raise SizeMismatch(
             "external vector has shape %r, expected (%d,)" % (a.shape, g.n_external)
         )
-    if g.n_internal == 0:
-        return np.zeros(0, dtype=complex)
-    blocks, m, _, _ = _resolvent(g, locals_, idx, -p)
-    return sla.solve(m, blocks.int_ext @ a)
+    _, core, _, _ = _one_point(g, locals_, idx, -p)
+    return core @ a
 
 
 def path_sum_oracle(
@@ -144,13 +203,37 @@ def path_sum_oracle(
     return blocks.ext_ext + blocks.ext_int @ acc
 
 
+# the two defects, per matrix of a stack
+def _involution_defect(s_plus: np.ndarray, s_minus: np.ndarray):
+    return np.max(np.abs(s_plus @ s_minus - np.eye(s_plus.shape[-1])), axis=(-2, -1))
+
+
+def _unitarity_defect(s: np.ndarray):
+    s_dagger = np.swapaxes(s, -2, -1).conj()
+    return np.max(np.abs(s_dagger @ s - np.eye(s.shape[-1])), axis=(-2, -1))
+
+
+def grid_defects(g: Graph, locals_, idx: ModeIndex, momenta):
+    """(involution, unitarity, near_pole) of S_tot as (P,) arrays, from
+    one grid solve over the momenta and their negatives. A point is
+    flagged (defects NaN) when p or -p is near a pole; a graph without
+    external edges has zero defects and no flags."""
+    p = np.asarray(momenta)
+    if g.n_external == 0:
+        return np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p), dtype=bool)
+    stack, near = scattering_grid(g, locals_, idx, np.concatenate([p, -p]))
+    s_plus, s_minus = np.split(stack, 2)
+    return (_involution_defect(s_plus, s_minus), _unitarity_defect(s_plus),
+            np.logical_or(*np.split(near, 2)))
+
+
 def verify_involution(g: Graph, locals_, idx: ModeIndex, p: complex) -> float:
     """Max-norm of S_tot(p) S_tot(-p) - I."""
     if g.n_external == 0:
         return 0.0
     s_plus = total_scattering(g, locals_, idx, p).matrix
     s_minus = total_scattering(g, locals_, idx, -p).matrix
-    return float(np.max(np.abs(s_plus @ s_minus - np.eye(g.n_external))))
+    return float(_involution_defect(s_plus, s_minus))
 
 
 def verify_unitarity(g: Graph, locals_, idx: ModeIndex, p: complex) -> float:
@@ -158,5 +241,4 @@ def verify_unitarity(g: Graph, locals_, idx: ModeIndex, p: complex) -> float:
     with unitary vertex matrices."""
     if g.n_external == 0:
         return 0.0
-    s = total_scattering(g, locals_, idx, p).matrix
-    return float(np.max(np.abs(s.conj().T @ s - np.eye(g.n_external))))
+    return float(_unitarity_defect(total_scattering(g, locals_, idx, p).matrix))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from graphscatter import (
     total_scattering,
 )
 from graphscatter import cli
+from graphscatter.assemble import assemble_blocks, assemble_propagation
 from graphscatter.cli import main
+from graphscatter.solve import NEAR_POLE_RTOL
 
 
 def gen(tmp_path, name):
@@ -313,3 +318,77 @@ def test_spectrum_cli_range_landing_on_roots(tmp_path):
     found = np.array(read_json(out)["p"])
     assert found.shape == (2,)
     assert np.max(np.abs(found - [math.pi, 2 * math.pi])) < 1e-14
+
+
+def test_sweeps_flag_exactly_singular_momenta(tmp_path):
+    # decoupled lead as in test_stot_near_pole_flag: E(0) - s22 is
+    # exactly singular at p = 0, so a batched LU of the grid fails there
+    spec = GraphSpec(
+        2,
+        ((0, 1, 1.0),),
+        (0,),
+        vertex_locals=(
+            LocalSpec(matrix=((1.0, 0.0), (0.0, -1.0))),
+            LocalSpec(matrix=((-1.0,),)),
+        ),
+    )
+    path = tmp_path / "bound.json"
+    save_spec(spec, path)
+    g = build_graph(spec)
+    locs = locals_from_spec(spec, g)
+    idx = mode_index(g)
+    momenta = [0.0, 1.0, math.pi, 2 * math.pi, 2.5]
+
+    def singular(p):
+        m = assemble_propagation(g, idx, p).matrix - assemble_blocks(g, locs, idx, p).int_int
+        sigma = np.linalg.svd(m, compute_uv=False)
+        return bool(sigma[-1] <= NEAR_POLE_RTOL * sigma[0])
+
+    expected = [singular(p) for p in momenta]
+    assert expected == [True, False, True, True, False]
+    expected_pm = [singular(p) or singular(-p) for p in momenta]
+    p_list = "--p-list=" + ",".join("%.17g" % p for p in momenta)
+    out = tmp_path / "out.json"
+    runs = (
+        (["stot", "--graph", str(path)], expected),
+        (["verify", "--graph", str(path)], expected_pm),
+        (["equiv", "--graph", str(path), "--graph-b", str(path)], expected),
+    )
+    for argv, want in runs:
+        assert main(argv + [p_list, "--out", str(out)]) == 0
+        assert [rec["near_pole"] for rec in read_json(out)["results"]] == want
+
+
+def test_sweeps_run_in_process(tmp_path):
+    graph = gen(tmp_path, "fabry_perot")
+    script = (
+        "import sys\n"
+        "import graphscatter.cli as cli\n"
+        "graph, out = sys.argv[1:]\n"
+        "base = ['stot', '--graph', graph, '--steps', '24', '--format', 'csv']\n"
+        "assert cli.main(base + ['--workers', '3', '--out', out + '.3']) == 0\n"
+        "assert cli.main(base + ['--workers', '1', '--out', out + '.1']) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "             if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = str(tmp_path / "stot.csv")
+    done = subprocess.run([sys.executable, "-c", script, graph, out], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # no process pool module is ever loaded, at import or while sweeping
+    assert done.stdout.strip() == "[]"
+    with open(out + ".3", "rb") as fh3, open(out + ".1", "rb") as fh1:
+        assert fh3.read() == fh1.read()
+
+
+def test_equiv_compact_graphs(tmp_path):
+    # no leads: S_tot is 0x0 at every momentum, so the deviation is 0
+    box = gen(tmp_path, "interval_compact")
+    out = tmp_path / "equiv.json"
+    assert main(["equiv", "--graph", box, "--graph-b", box, "--p-list", "0.5,1.7",
+                 "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["pass"] is True and doc["max_deviation"] == 0.0

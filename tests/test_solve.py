@@ -12,12 +12,15 @@ from graphscatter import (
     internal_modes,
     kirchhoff_local,
     mode_index,
+    momentum_local,
     path_sum_oracle,
     platonic,
+    scattering_grid,
     total_scattering,
     verify_involution,
     verify_unitarity,
 )
+from graphscatter import solve
 from graphscatter.assemble import assemble_blocks, assemble_propagation
 from _helpers import nonpole_momentum, random_graph, random_locals
 
@@ -177,3 +180,67 @@ def test_verify_helpers_on_compact_graph():
     idx = mode_index(fix.graph)
     assert verify_involution(fix.graph, fix.locals, idx, 0.7) == 0.0
     assert verify_unitarity(fix.graph, fix.locals, idx, 0.7) == 0.0
+
+
+def _dressed(vertex, base, stubs):
+    """Momentum-dependent vertex D(p) S0 D(p), D(p) = diag(exp(i p c)):
+    involutive because D(p) D(-p) = I and S0 S0 = I."""
+    s0 = base.constant
+
+    def evaluate(p):
+        d = np.exp(1j * p * stubs)
+        return d[:, None] * s0 * d[None, :]
+
+    return momentum_local(vertex, s0.shape[0], evaluate)
+
+
+def test_scattering_grid_matches_path_sum_oracle(monkeypatch):
+    rng = np.random.default_rng(505)
+    done = 0
+    while done < 12:
+        g = random_graph(rng, max_vertices=4)
+        if g.n_internal == 0:
+            continue
+        idx = mode_index(g)
+        locs = random_locals(rng, g, idx, unitary=True)
+        if done % 2:
+            v = int(rng.integers(0, g.vertex_count))
+            stubs = rng.uniform(0.0, 0.3, size=idx.vertex_slot_count(v))
+            locs[v] = _dressed(v, locs[v], stubs)
+        # three momenta per chunk, so the grid crosses chunk boundaries
+        monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", 3 * idx.n_internal_slots ** 2)
+        d_min = min(idx.slot_length)
+        momenta = rng.uniform(-4.0, 4.0, size=8) + 0.2j / d_min
+        stack, near = scattering_grid(g, locs, idx, momenta)
+        assert stack.shape == (8, g.n_external, g.n_external)
+        assert not near.any()
+        for p, mat in zip(momenta, stack):
+            series = path_sum_oracle(g, locs, idx, p, tol=1e-12)
+            assert np.max(np.abs(mat - series)) < 1e-9
+            assert np.max(np.abs(mat - total_scattering(g, locs, idx, p).matrix)) < 1e-13
+        done += 1
+
+
+def test_scattering_grid_exactly_singular_point_mid_chunk(monkeypatch):
+    # edge 0-1 is decoupled (Dirichlet at both ends), so E(0) - s22 is
+    # exactly singular; edge 0-2 carries the leads with full transmission
+    d = 1.7
+    g = build_graph(GraphSpec(3, ((0, 1, 1.0), (0, 2, d)), (0, 2)))
+    idx = mode_index(g)
+    locs = [
+        constant_local(0, [[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
+        constant_local(1, [[-1]]),
+        constant_local(2, [[0, 1], [1, 0]]),
+    ]
+    monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", 3 * idx.n_internal_slots ** 2)
+    momenta = [0.4, 0.0, 1.1, 2.5, np.pi, 3.3, 4.0, 5.2]
+    stack, near = scattering_grid(g, locs, idx, momenta)
+    assert near.tolist() == [False, True, False, False, True, False, False, False]
+    assert np.isnan(stack[near]).all()
+    for p, flagged, mat in zip(momenta, near, stack):
+        if not flagged:
+            want = np.exp(1j * p * d) * np.array([[0.0, 1.0], [1.0, 0.0]])
+            assert np.max(np.abs(mat - want)) < 1e-12
+            assert np.array_equal(mat, total_scattering(g, locs, idx, p).matrix)
+    with pytest.raises(NearPole):
+        total_scattering(g, locs, idx, 0.0)
