@@ -7,7 +7,6 @@ from .errors import (
     DisconnectedGraph,
     EmptyInterval,
     FitResidualTooLarge,
-    FixtureUnknown,
     GraphScatterError,
     IncommensurableLengths,
     MissingVertexMatrix,
@@ -17,6 +16,7 @@ from .errors import (
     NotCompact,
     NotInvolutive,
     NumericalError,
+    ReductionNotApplicable,
     SeriesDiverges,
     ShapeMismatch,
     SizeMismatch,

@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a fixture graph file")
     p_gen.add_argument("name", nargs="?", default=None)
-    p_gen.add_argument("--generate", dest="name_flag", default=None, metavar="NAME")
     add_io(p_gen)
 
     return parser
@@ -311,14 +310,11 @@ def _generated_fixture(name: str):
 
 
 def cmd_generate(args) -> int:
-    name = args.name_flag if args.name_flag is not None else args.name
-    if name is None:
+    if args.name is None:
         raise ValidationError("generate needs a fixture name")
-    if args.name is not None and args.name_flag is not None and args.name != args.name_flag:
-        raise ValidationError("conflicting fixture names %r and %r" % (args.name, args.name_flag))
     if args.format == "csv":
         raise ValidationError("generate only writes json graph files")
-    spec = _generated_fixture(name)
+    spec = _generated_fixture(args.name)
     if args.out:
         save_spec(spec, args.out)
     else:

@@ -80,7 +80,7 @@ class UnknownFixture(ValidationError):
     pass
 
 
-class FixtureUnknown(ValidationError):
+class ReductionNotApplicable(ValidationError):
     """The factorization shortcut does not apply to the given data."""
 
 

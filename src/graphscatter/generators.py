@@ -117,14 +117,6 @@ _MATCHINGS = {
     ),
 }
 
-_VERTEX_COUNTS = {
-    "tetrahedron": 4,
-    "cube": 8,
-    "octahedron": 6,
-    "dodecahedron": 20,
-    "icosahedron": 12,
-}
-
 PLATONIC_SOLIDS = tuple(sorted(_MATCHINGS))
 
 
@@ -137,7 +129,7 @@ def platonic(name: str, edge_length: float = 1.0) -> tuple[Graph, Colouring]:
             "unknown solid %r; choose from %s" % (name, ", ".join(PLATONIC_SOLIDS))
         )
     matchings = _MATCHINGS[name]
-    n = _VERTEX_COUNTS[name]
+    n = 2 * len(matchings[0])  # every colour pairs up all vertices
     edges = tuple(
         (u, v, float(edge_length))
         for matching in matchings

@@ -73,12 +73,14 @@ def _as_square(entries, vertex: int) -> np.ndarray:
     return mat
 
 
-def _involution_defect(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a @ b - np.eye(a.shape[0]))))
+# max-norm defects of S S' = I and S^dagger S = I, per matrix of a stack
+def _involution_defect(s_plus: np.ndarray, s_minus: np.ndarray):
+    return np.max(np.abs(s_plus @ s_minus - np.eye(s_plus.shape[-1])), axis=(-2, -1))
 
 
-def _unitarity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+def _unitarity_defect(s: np.ndarray):
+    s_dagger = np.swapaxes(s, -2, -1).conj()
+    return np.max(np.abs(s_dagger @ s - np.eye(s.shape[-1])), axis=(-2, -1))
 
 
 def constant_local(vertex: int, entries) -> LocalScattering:
@@ -95,7 +97,7 @@ def constant_local(vertex: int, entries) -> LocalScattering:
         size=mat.shape[0],
         constant=mat,
         evaluator=None,
-        unitary=_unitarity_defect(mat) < INVOLUTION_TOL,
+        unitary=bool(_unitarity_defect(mat) < INVOLUTION_TOL),
     )
 
 

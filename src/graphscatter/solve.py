@@ -26,6 +26,7 @@ import numpy as np
 from .assemble import assemble_blocks, assemble_propagation
 from .errors import NearPole, SeriesDiverges, SizeMismatch
 from .graph import Graph, ModeIndex
+from .local import _involution_defect, _unitarity_defect
 
 __all__ = [
     "TotalSMatrix",
@@ -201,16 +202,6 @@ def path_sum_oracle(
                 "tail bound %.3e not reached within %d terms" % (tol, limit)
             )
     return blocks.ext_ext + blocks.ext_int @ acc
-
-
-# the two defects, per matrix of a stack
-def _involution_defect(s_plus: np.ndarray, s_minus: np.ndarray):
-    return np.max(np.abs(s_plus @ s_minus - np.eye(s_plus.shape[-1])), axis=(-2, -1))
-
-
-def _unitarity_defect(s: np.ndarray):
-    s_dagger = np.swapaxes(s, -2, -1).conj()
-    return np.max(np.abs(s_dagger @ s - np.eye(s.shape[-1])), axis=(-2, -1))
 
 
 def grid_defects(g: Graph, locals_, idx: ModeIndex, momenta):

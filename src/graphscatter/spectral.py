@@ -12,6 +12,12 @@ Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U), so one
 eigendecomposition of U gives the polynomial, the poles with their
 multiplicities and the residues that tell genuine poles from
 removable determinant zeros.
+
+Compact spectra need no commensurability: for constant unitary vertex
+matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
+the eigenmomenta are the momenta where an eigenphase crosses 0 mod
+2 pi. The sum of the principal eigenphases counts these crossings
+exactly (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013).
 """
 
 from __future__ import annotations
@@ -21,18 +27,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .assemble import assemble_blocks, assemble_propagation, resolve_locals
 from .errors import (
     DegenerateConstantPolynomial,
     EmptyInterval,
     FitResidualTooLarge,
-    FixtureUnknown,
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
+    ReductionNotApplicable,
     ValidationError,
 )
 from .graph import Graph, ModeIndex
@@ -49,7 +53,9 @@ __all__ = [
 
 # the polynomial must reproduce held-out determinant samples this well
 FIT_RTOL = 1e-9
+# roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
+TWO_PI = 2.0 * math.pi
 # a root whose residue in S_tot has at most this norm is removable; for
 # unitary vertex data that includes resonances with 1 - |zeta| below
 # about 5e-9
@@ -155,37 +161,27 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
         )
     powers = _slot_powers(idx, unit)
     degree = sum(powers)
-    if degree == 0:
-        return SecularPolynomial(
-            unit_length=unit,
-            coefficients=np.ones(1, dtype=complex),
-            degree_bound=0,
-            slot_powers=powers,
-            graph=g,
-            vertex_locals=tuple(resolved),
-            index=idx,
-        )
+    coeffs = np.ones(1, dtype=complex)
+    if degree > 0:
+        s22 = assemble_blocks(g, resolved, idx, 0.0).int_int
+        eigs = np.linalg.eigvals(_bond_matrix(idx, powers, s22)[0])
+        n_nodes = degree + 1
+        nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
+        values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
+        # E(0) pairs the slots of every edge, one transposition per edge
+        coeffs = (-1) ** g.n_internal * np.fft.ifft(values)
 
-    s22 = assemble_blocks(g, resolved, idx, 0.0).int_int
-    u, _, _ = _bond_matrix(idx, powers, s22)
-    eigs = np.linalg.eigvals(u)
-    n_nodes = degree + 1
-    nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
-    values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
-    # E(0) pairs the slots of every edge, one transposition per edge
-    coeffs = (-1) ** g.n_internal * np.fft.ifft(values)
-
-    scale = float(np.max(np.abs(coeffs)))
-    # lengths within the commensurability tolerance are taken as exact
-    snapped = replace(idx, slot_length=tuple(m * unit for m in powers))
-    for j in range(8):
-        p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
-        fitted = np.polynomial.polynomial.polyval(np.exp(-1j * p * unit), coeffs)
-        direct = secular_determinant(g, resolved, snapped, p)
-        if not abs(fitted - direct) <= FIT_RTOL * scale:  # also catches NaN
-            raise FitResidualTooLarge(
-                "polynomial residual %.3e at held-out point" % abs(fitted - direct)
-            )
+        scale = float(np.max(np.abs(coeffs)))
+        # lengths within the commensurability tolerance are taken as exact
+        snapped = replace(idx, slot_length=tuple(m * unit for m in powers))
+        for j in range(8):
+            p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
+            fitted = np.polynomial.polynomial.polyval(np.exp(-1j * p * unit), coeffs)
+            direct = secular_determinant(g, resolved, snapped, p)
+            if not abs(fitted - direct) <= FIT_RTOL * scale:  # also catches NaN
+                raise FitResidualTooLarge(
+                    "polynomial residual %.3e at held-out point" % abs(fitted - direct)
+                )
 
     coeffs.flags.writeable = False
     return SecularPolynomial(
@@ -206,15 +202,17 @@ def _eigen_groups(u: np.ndarray):
     eps ||u|| / |w_k^H v_k| (unit left and right eigenvectors). Two
     eigenvalues join a group when they lie within ROOT_DEDUP_TOL of
     each other or within 16 times the smaller of their two bounds,
-    which keeps the split copies of a Jordan block together. Returns
-    the eigenvalues, the right and left eigenvectors as columns and
-    one index array per group. Left eigenvectors come from the same
-    LAPACK call rather than from V^-1, which is singular whenever a
-    bond chain is exactly nilpotent (a lead vertex of degree 2 at the
-    end of an edge longer than the unit).
+    which keeps the split copies of a Jordan block together. The left
+    eigenvectors w are the conjugated eigenvectors of u^T (V^-1 is
+    singular on exactly nilpotent bond chains). Since w_j^H v_k = 0
+    for distinct eigenvalues, |w_k^H v_k| is the largest overlap of
+    v_k with any w, and each w joins the group of the nearest
+    eigenvalue. Returns the eigenvalues, the right eigenvectors, the
+    left eigenvectors of each group and each group's index array.
     """
-    lam, left, right = scipy.linalg.eig(u, left=True, right=True)
-    overlap = np.abs(np.sum(left.conj() * right, axis=0))
+    lam, right = np.linalg.eig(u)
+    mu, left = np.linalg.eig(u.T)
+    overlap = np.max(np.abs(left.T @ right), axis=0)
     with np.errstate(divide="ignore"):
         bound = np.finfo(float).eps * np.linalg.norm(u, 2) / overlap
     reach = np.maximum(16.0 * np.minimum.outer(bound, bound), ROOT_DEDUP_TOL)
@@ -226,17 +224,21 @@ def _eigen_groups(u: np.ndarray):
         if np.array_equal(merged, group_of):
             break
         group_of = merged
-    groups = [np.flatnonzero(group_of == label) for label in np.unique(group_of)]
-    return lam, right, left, groups
+    labels = np.unique(group_of)
+    groups = [np.flatnonzero(group_of == label) for label in labels]
+    left_group = group_of[np.argmin(np.abs(mu[:, None] - lam[None, :]), axis=1)]
+    lefts = [left[:, left_group == label].conj() for label in labels]
+    return lam, right, lefts, groups
 
 
 def _group_residue(blocks, e0_s21, v_g, w_g, first, last) -> float:
     """Norm of s12 P_g E(0) s21 for the spectral projector
     P_g = V_g (W_g^H V_g)^-1 W_g^H of one eigenvalue group, restricted
     to first-bond rows and last-bond columns. This is the residue of
-    S_tot at the group. When W_g^H V_g is exactly singular the
-    eigenvectors do not resolve the group; its residue is then taken
-    as infinite so that it is never called removable."""
+    S_tot at the group. When W_g^H V_g is not square (the group got
+    more or fewer left than right eigenvectors) or exactly singular,
+    the eigenvectors do not resolve the group; its residue is then
+    taken as infinite so that it is never called removable."""
     try:
         coupling = np.linalg.solve(w_g.conj().T @ v_g, w_g[last].conj().T)
     except np.linalg.LinAlgError:
@@ -261,18 +263,18 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
     g, idx = poly.graph, poly.index
     blocks = assemble_blocks(g, poly.vertex_locals, idx, 0.0)
     u, first, last = _bond_matrix(idx, poly.slot_powers, blocks.int_int)
-    lam, right, left, groups = _eigen_groups(u)
+    lam, right, lefts, groups = _eigen_groups(u)
     e0_s21 = assemble_propagation(g, idx, 0.0).matrix @ blocks.int_ext
 
     records = []
-    for members in groups:
+    for members, left in zip(groups, lefts):
         zeta = complex(np.mean(lam[members]))
         if abs(zeta) <= ROOT_DEDUP_TOL:
             continue
         if abs(zeta.imag) <= ROOT_DEDUP_TOL:
             zeta = complex(zeta.real, 0.0)
         removable = g.n_external > 0 and (
-            _group_residue(blocks, e0_s21, right[:, members], left[:, members], first, last)
+            _group_residue(blocks, e0_s21, right[:, members], left, first, last)
             <= RESIDUE_TOL
         )
         if removable and not include_removable:
@@ -289,42 +291,90 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
     return records
 
 
-def _momentum_determinant_traces(g, locals_, idx, p, h=1e-6):
-    """t = tr(M^-1 M') and t' = tr(M^-1 M'') - tr((M^-1 M')^2) for
-    M(p) = E(p) - s22(p); vertex-matrix derivatives fall back to
-    central differences when momentum dependent."""
-    resolved = locals_
-    lengths = np.asarray(idx.slot_length)
-    e = assemble_propagation(g, idx, p).matrix
-    ep = e @ np.diag(-1j * lengths)
-    epp = e @ np.diag(-(lengths**2))
-    if all(loc.is_constant for loc in resolved):
-        s22 = assemble_blocks(g, resolved, idx, p).int_int
-        s22p = 0.0
-        s22pp = 0.0
-    else:
-        s22 = assemble_blocks(g, resolved, idx, p).int_int
-        plus = assemble_blocks(g, resolved, idx, p + h).int_int
-        minus = assemble_blocks(g, resolved, idx, p - h).int_int
-        s22p = (plus - minus) / (2.0 * h)
-        s22pp = (plus - 2.0 * s22 + minus) / (h * h)
-    m = e - s22
-    x = np.linalg.solve(m, ep - s22p)
-    y = np.linalg.solve(m, epp - s22pp)
-    t = np.trace(x)
-    tp = np.trace(y) - np.trace(x @ x)
-    return t, tp
+def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
+    """sample(p) = (p, p sum(lengths) - sum(phi), min(phi), max(phi))
+    for the principal eigenphases phi in [0, 2 pi] of the unitary
+    U(p) = diag(exp(i p lengths)) bond.
+
+    exp(i phi) is an eigenvalue of U when tan((phi - beta) / 2) is one
+    of the Hermitian H = i (I - cU)(I + cU)^-1, c = exp(-i beta), so a
+    solve and an eigvalsh give every phase. H is singular at
+    phi = beta + pi, which is therefore kept mid-way across the widest
+    gap of the last spectrum. That gap spans at least 2 pi / n, so
+    ||H|| < cot(pi / 2n) < n there; a sample with ||H|| > n is redone,
+    and phases near 0 come out accurate to about eps ||H||. The first
+    sample and an exactly singular H use the eigenvalues of U.
+    """
+    n = len(lengths)
+    eye = np.eye(n)
+    beta = None
+
+    def summary(p, phi):
+        # also moves beta + pi to the middle of the widest gap of phi
+        nonlocal beta
+        phi = np.sort(phi % TWO_PI)
+        gaps = np.diff(phi, append=phi[0] + TWO_PI)
+        beta = phi[np.argmax(gaps)] + 0.5 * np.max(gaps) - math.pi
+        return p, p * np.sum(lengths) - np.sum(phi), phi[0], phi[-1]
+
+    def sample(p):
+        u = np.exp(1j * p * lengths)[:, None] * bond
+        for _ in range(0 if beta is None else 2):
+            cu = cmath.exp(-1j * beta) * u
+            try:
+                x = np.linalg.solve(eye + cu, eye - cu)
+            except np.linalg.LinAlgError:
+                break
+            h = np.linalg.eigvalsh(0.5j * (x - x.conj().T))
+            result = summary(p, beta + 2.0 * np.arctan(h))
+            if np.max(np.abs(h)) <= n:
+                return result
+        return summary(p, np.angle(np.linalg.eigvals(u)))
+
+    return sample
 
 
-def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
-    """Real zeros of the secular determinant on [p_min, p_max] for a
-    graph without external edges.
+def _polish(sample, lo, hi, k: int, tol: float) -> float:
+    """Momentum where the k eigenphases crossing 0 in (lo, hi] do so.
 
-    Scans the determinant magnitude on a grid of step
-    pi / (8 * total internal length), takes every local minimum
-    through a bounded minimizer and Newton polish, and keeps roots
-    where the determinant has dropped at least seven orders of
-    magnitude below the grid scale.
+    Illinois regula falsi between the phase just below 0 (max - 2 pi)
+    at the left end and the one just above 0 (min) at the right end,
+    until a new end has its phase within tol of 0. The crossing count
+    decides which end a trial point replaces, so the bracket always
+    holds the root; a point that splits the k crossings is the answer.
+    """
+    a, fa, b, fb = lo, lo[3] - TWO_PI, hi, hi[2]
+    side, done = 0, False
+    for _ in range(100):  # Illinois converges superlinearly; a safety cap
+        x = (a[0] * fb - b[0] * fa) / (fb - fa) if fb > fa else a[0]
+        if done or not a[0] < x < b[0]:
+            break
+        s = sample(x)
+        count = round((s[1] - a[1]) / TWO_PI)
+        if 0 < count < k:
+            break
+        # Illinois: halve the value kept at an end that survives twice
+        if count == 0:
+            a, fa, fb = s, s[3] - TWO_PI, fb * (0.5 if side < 0 else 1.0)
+            side, done = -1, -fa <= tol
+        else:
+            b, fb, fa = s, s[2], fa * (0.5 if side > 0 else 1.0)
+            side, done = 1, fb <= tol
+    return min(max(x, a[0]), b[0])
+
+
+def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
+    """Distinct eigenmomenta in [p_min, p_max] as sorted
+    (p, multiplicity) pairs.
+
+    For constant unitary vertex matrices U(p) = E(-p) s22 is unitary
+    with det U(p) = exp(i p sum(lengths)) det(E(0) s22), so its
+    eigenphases rise with p and each crossing of 0 lowers the sum of
+    the principal phases by 2 pi. The eigenmomenta in (a, b], with
+    multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
+    + sum phi(a)) / 2 pi. A grid on which no phase moves more than
+    pi / 2 per step is bisected until a bracket holds one crossing or
+    a cluster narrower than ROOT_DEDUP_TOL, which _polish refines.
     """
     if g.n_external > 0:
         raise NotCompact(
@@ -334,100 +384,80 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
     if not (p_min < p_max):
         raise EmptyInterval("need p_min < p_max, got [%r, %r]" % (p_min, p_max))
     resolved = resolve_locals(g, locals_, idx)
+    if not all(loc.is_constant for loc in resolved):
+        raise NonConstantLocals("spectrum requires constant vertex matrices")
+    if not all(loc.unitary for loc in resolved):
+        raise ValidationError("spectrum requires unitary vertex matrices")
+    if g.n_internal == 0:
+        return []
 
-    step = math.pi / (8.0 * g.total_internal_length)
-    count = max(int(math.ceil((p_max - p_min) / step)) + 1, 9)
-    grid = np.linspace(p_min, p_max, count)
-    mags = np.array(
-        [abs(secular_determinant(g, resolved, idx, p)) for p in grid]
-    )
-    scale = float(np.max(mags))
-    if scale == 0.0:
-        scale = 1.0
-
-    candidates = []
-    for i in range(count):
-        left = mags[i - 1] if i > 0 else math.inf
-        right = mags[i + 1] if i < count - 1 else math.inf
-        if mags[i] <= left and mags[i] <= right:
-            candidates.append(i)
-
+    bond = assemble_blocks(g, resolved, idx, 0.0).int_int[list(idx.partner)]
+    lengths = np.asarray(idx.slot_length)
+    sample = _phase_sampler(bond, lengths)
+    tol = 4.0 * len(lengths) * np.finfo(float).eps  # see _phase_sampler
+    # the grid overhangs both ends so that no root sits on its first point
+    lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
+    steps = math.ceil((hi_end - lo_end) * max(lengths) / (0.5 * math.pi))
+    grid = [sample(p) for p in np.linspace(lo_end, hi_end, steps + 1)]
+    brackets = list(zip(grid[:-1], grid[1:]))[::-1]
     roots = []
-    for i in candidates:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, count - 1)]
-        if lo == hi:
-            continue
-        result = scipy.optimize.minimize_scalar(
-            lambda p: abs(secular_determinant(g, resolved, idx, p)) ** 2,
-            bounds=(lo, hi),
-            method="bounded",
-        )
-        p_root = float(result.x)
-        for _ in range(5):
-            try:
-                t, tp = _momentum_determinant_traces(g, resolved, idx, p_root)
-            except np.linalg.LinAlgError:
-                # the minimizer landed exactly on a root
-                break
-            if tp == 0:
-                break
-            step_c = t / tp
-            p_root = float((p_root + step_c).real)
-            if abs(step_c) < 1e-15 * max(1.0, abs(p_root)):
-                break
-        if p_root < p_min - 1e-12 or p_root > p_max + 1e-12:
-            continue
-        if abs(secular_determinant(g, resolved, idx, p_root)) > 1e-7 * scale:
-            continue
-        roots.append(min(max(p_root, p_min), p_max))
-
+    while brackets:
+        lo, hi = brackets.pop()
+        k = round((hi[1] - lo[1]) / TWO_PI)
+        if k > 1 and hi[0] - lo[0] > ROOT_DEDUP_TOL:
+            mid = sample(0.5 * (lo[0] + hi[0]))
+            brackets += [(mid, hi), (lo, mid)]
+        elif k > 0:
+            p = _polish(sample, lo, hi, k, tol)
+            # roots up to 1e-12 outside the interval move onto its ends
+            if p_min - 1e-12 <= p <= p_max + 1e-12:
+                roots.append([float(min(max(p, p_min), p_max)), k])
     roots.sort()
-    deduped = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > ROOT_DEDUP_TOL:
-            deduped.append(r)
-    return deduped
+    for i in range(len(roots) - 1, 0, -1):
+        if roots[i][0] - roots[i - 1][0] <= ROOT_DEDUP_TOL:
+            roots[i - 1][1] += roots.pop(i)[1]
+    return [tuple(r) for r in roots]
+
+
+def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
+    """Real zeros of the secular determinant on [p_min, p_max] for a
+    graph without external edges, as sorted distinct floats.
+
+    The vertex matrices must be constant and unitary, or a
+    ValidationError is raised. The roots are counted and polished on
+    the eigenphases of the unitary U(p) = E(-p) s22 (_eigenmomenta);
+    roots within ROOT_DEDUP_TOL of each other are reported once.
+    """
+    return [p for p, _ in _eigenmomenta(g, locals_, idx, p_min, p_max)]
 
 
 def _sign_multiset(colour_matrices) -> list[tuple[tuple[int, ...], int]]:
     """Joint eigenvalue sign patterns with their multiplicities for a
-    family of commuting symmetric involutions."""
+    family of commuting symmetric involutions M_a: the multiplicity of
+    sigma is the trace of the projector prod_a (I + sigma_a M_a) / 2."""
     mats = [np.asarray(m) for m in colour_matrices]
-    nu = len(mats)
-    n = mats[0].shape[0]
-    traces = []
-    for mask in range(2**nu):
-        prod = np.eye(n)
-        for a in range(nu):
-            if (mask >> a) & 1:
-                prod = prod @ mats[a]
-        traces.append(float(np.trace(prod).real))
+    eye = np.eye(mats[0].shape[0])
     patterns = []
-    for bits in range(2**nu):
-        sigma = tuple(1 if (bits >> a) & 1 == 0 else -1 for a in range(nu))
-        acc = 0.0
-        for mask in range(2**nu):
-            sign = 1
-            for a in range(nu):
-                if (mask >> a) & 1:
-                    sign *= sigma[a]
-            acc += sign * traces[mask]
-        count = acc / (2**nu)
+    for bits in range(2 ** len(mats)):
+        sigma = tuple(-1 if (bits >> a) & 1 else 1 for a in range(len(mats)))
+        proj = eye
+        for sign, mat in zip(sigma, mats):
+            proj = proj @ (eye + sign * mat) / 2
+        count = float(np.trace(proj).real)
         rounded = round(count)
         if abs(count - rounded) > 1e-9:
-            raise FixtureUnknown(
+            raise ReductionNotApplicable(
                 "joint eigenspace dimension %r is not an integer; the "
                 "factorization shortcut does not apply" % count
             )
         if rounded < 0:
-            raise FixtureUnknown("negative eigenspace dimension %d" % rounded)
+            raise ReductionNotApplicable("negative eigenspace dimension %d" % rounded)
         if rounded:
             patterns.append((sigma, rounded))
     total = sum(cnt for _, cnt in patterns)
-    if total != n:
-        raise FixtureUnknown(
-            "eigenspace dimensions sum to %d, expected %d" % (total, n)
+    if total != len(eye):
+        raise ReductionNotApplicable(
+            "eigenspace dimensions sum to %d, expected %d" % (total, len(eye))
         )
     return patterns
 
@@ -439,79 +469,71 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
 
     Requires identical constant vertex matrices everywhere, equal edge
     lengths, no loops and a full proper edge colouring given as its
-    vertex-pairing matrices. Refuses with FixtureUnknown when the
+    vertex-pairing matrices. Refuses with ReductionNotApplicable when the
     reduction does not apply.
     """
     resolved = resolve_locals(g, locals_, idx)
     if not all(loc.is_constant for loc in resolved):
-        raise FixtureUnknown("reduction requires constant vertex matrices")
+        raise ReductionNotApplicable("reduction requires constant vertex matrices")
     base = resolved[0].constant
     for loc in resolved[1:]:
         if loc.size != resolved[0].size or np.max(np.abs(loc.constant - base)) > 0:
-            raise FixtureUnknown(
+            raise ReductionNotApplicable(
                 "reduction requires the same matrix at every vertex"
             )
     if any(e.is_loop for e in g.internal_edges):
-        raise FixtureUnknown("reduction does not cover loops")
+        raise ReductionNotApplicable("reduction does not cover loops")
 
     lengths = {e.length for e in g.internal_edges}
     if len(lengths) != 1:
-        raise FixtureUnknown("reduction requires equal edge lengths")
+        raise ReductionNotApplicable("reduction requires equal edge lengths")
     unit = lengths.pop()
 
     n_ext = {g.external_degree(v) for v in range(g.vertex_count)}
     n_int = {g.internal_degree(v) for v in range(g.vertex_count)}
     if len(n_ext) != 1 or len(n_int) != 1:
-        raise FixtureUnknown("reduction requires a regular fixture")
+        raise ReductionNotApplicable("reduction requires a regular fixture")
     k_ext = n_ext.pop()
     nu = n_int.pop()
 
     mats = [np.asarray(m, dtype=float) for m in colour_matrices]
     if len(mats) != nu:
-        raise FixtureUnknown(
+        raise ReductionNotApplicable(
             "expected %d colour matrices, got %d" % (nu, len(mats))
         )
     n = g.vertex_count
     for a, mat in enumerate(mats):
         if mat.shape != (n, n):
-            raise FixtureUnknown("colour matrix %d has shape %r" % (a, mat.shape))
+            raise ReductionNotApplicable("colour matrix %d has shape %r" % (a, mat.shape))
         if np.max(np.abs(mat - mat.T)) > 0 or np.max(np.abs(mat @ mat - np.eye(n))) > 1e-12:
-            raise FixtureUnknown("colour matrix %d is not a symmetric involution" % a)
+            raise ReductionNotApplicable("colour matrix %d is not a symmetric involution" % a)
         if np.max(np.abs(np.diag(mat))) > 0:
-            raise FixtureUnknown("colour matrix %d pairs a vertex with itself" % a)
+            raise ReductionNotApplicable("colour matrix %d pairs a vertex with itself" % a)
     for a in range(nu):
         for b in range(a + 1, nu):
             if np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) > 0:
-                raise FixtureUnknown("colour matrices %d and %d do not commute" % (a, b))
+                raise ReductionNotApplicable("colour matrices %d and %d do not commute" % (a, b))
 
     # per-vertex reduced block in colour order; must come out the same
     # at every vertex for the factorization to make sense
-    neighbor_of = []
-    for v in range(g.vertex_count):
-        row = []
-        for mat in mats:
-            (partners,) = np.nonzero(mat[v])
-            if len(partners) != 1:
-                raise FixtureUnknown("colour matrix is not a perfect pairing")
-            row.append(int(partners[0]))
-        neighbor_of.append(row)
-
     s_red = None
     for v in range(g.vertex_count):
+        partners = [np.flatnonzero(mat[v]) for mat in mats]
+        if any(len(w) != 1 for w in partners):
+            raise ReductionNotApplicable("colour matrix is not a perfect pairing")
         heads = [idx.internal_order[s][1] for s in idx.vertex_internal[v]]
         # position of each colour's partner in the vertex's slot order
         try:
-            perm = [heads.index(neighbor_of[v][a]) for a in range(nu)]
+            perm = [heads.index(int(w[0])) for w in partners]
         except ValueError:
-            raise FixtureUnknown(
+            raise ReductionNotApplicable(
                 "colour pairing at vertex %d does not match the graph" % v
             )
-        block = base[k_ext:, k_ext:]
-        reduced = block[np.ix_(perm, perm)]
+        reduced = base[k_ext:, k_ext:][np.ix_(perm, perm)]
         if s_red is None:
             s_red = reduced
         elif np.max(np.abs(reduced - s_red)) > 1e-12:
-            raise FixtureUnknown(
+            raise ReductionNotApplicable(
                 "reduced block depends on the vertex; colouring and matrix "
                 "are not aligned"
             )
@@ -525,9 +547,5 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
 
     assembled = secular_polynomial(g, resolved, idx, unit)
     right = np.asarray(assembled.coefficients)[::-1]
-    if len(left) != len(right):
-        width = max(len(left), len(right))
-        left = np.pad(left, (width - len(left), 0))
-        right = np.pad(right, (width - len(right), 0))
     tol = FIT_RTOL * float(np.max(np.abs(right)))
-    return bool(np.max(np.abs(left - right)) <= tol)
+    return bool(np.max(np.abs(np.polysub(left, right))) <= tol)

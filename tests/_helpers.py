@@ -10,6 +10,7 @@ from graphscatter import (
     NearPole,
     build_graph,
     constant_local,
+    kirchhoff_local,
     mode_index,
     total_scattering,
 )
@@ -60,6 +61,30 @@ def random_locals(rng, g, idx, unitary=False):
         random_involutive(rng, v, idx.vertex_slot_count(v), unitary=unitary)
         for v in range(g.vertex_count)
     ]
+
+
+def compact_rational_ring(seed, n=20, chords=10):
+    """Compact Kirchhoff ring of n edges plus random chords, lengths
+    k/10 with k in 5..15: the benchmark's compact spectrum recipe."""
+    rng = np.random.default_rng(seed + 1_000_003)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(chords):
+        a, b = rng.choice(n, 2, replace=False)
+        pairs.append((int(a), int(b)))
+    tenths = rng.integers(5, 16, size=len(pairs))
+    edges = tuple((a, b, k / 10.0) for (a, b), k in zip(pairs, tenths))
+    g = build_graph(GraphSpec(n, edges, ()))
+    return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
+
+
+def block_diag(*mats):
+    """Block-diagonal matrix with the given square blocks in order."""
+    out = np.zeros((sum(len(m) for m in mats),) * 2, dtype=complex)
+    start = 0
+    for m in mats:
+        out[start:start + len(m), start:start + len(m)] = m
+        start += len(m)
+    return out
 
 
 def nonpole_momentum(rng, g, locals_, idx, guard=1e-5, lo=0.1, hi=7.0):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from graphscatter import (
     GraphSpec,
@@ -19,7 +18,7 @@ from graphscatter.assemble import (
     resolve_locals,
     scatter_order_permutation,
 )
-from _helpers import random_graph, random_locals
+from _helpers import block_diag, random_graph, random_locals
 
 
 def test_block_shapes():
@@ -44,7 +43,7 @@ def test_blocks_are_permuted_direct_sum():
         stacked = np.block(
             [[blocks.ext_ext, blocks.ext_int], [blocks.int_ext, blocks.int_int]]
         )
-        direct_sum = sla.block_diag(*(loc.matrix(p) for loc in locs))
+        direct_sum = block_diag(*(loc.matrix(p) for loc in locs))
         perm = scatter_order_permutation(g, idx)
         assert np.max(np.abs(perm @ direct_sum @ perm.T - stacked)) == 0.0
 

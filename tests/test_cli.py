@@ -10,7 +10,9 @@ import pytest
 from graphscatter import (
     GraphSpec,
     LocalSpec,
+    ValidationError,
     build_graph,
+    compact_spectrum,
     load_spec,
     locals_from_spec,
     mode_index,
@@ -82,11 +84,9 @@ def test_generate_argument_handling(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["vertices"] == 1
 
-    assert main(["generate", "--generate", "tadpole"]) == 0
     capsys.readouterr()
     assert main(["generate"]) == 2
     assert main(["generate", "moebius"]) == 2
-    assert main(["generate", "tadpole", "--generate", "line2"]) == 2
     assert main(["generate", "tadpole", "--format", "csv"]) == 2
     capsys.readouterr()
 
@@ -392,3 +392,43 @@ def test_equiv_compact_graphs(tmp_path):
                  "--out", str(out)]) == 0
     doc = read_json(out)
     assert doc["pass"] is True and doc["max_deviation"] == 0.0
+
+
+def test_spectrum_refuses_non_unitary_vertex_matrix(tmp_path, capsys):
+    # involutive, (S S = I), but not unitary
+    skew = LocalSpec(matrix=((1.0, 1.0), (0.0, -1.0)))
+    spec = GraphSpec(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), (),
+                     vertex_locals=(skew, LocalSpec(family="kirchhoff"),
+                                    LocalSpec(family="kirchhoff")))
+    path = tmp_path / "skew.json"
+    save_spec(spec, path)
+    spec = load_spec(path)
+    g = build_graph(spec)
+    with pytest.raises(ValidationError):
+        compact_spectrum(g, locals_from_spec(spec, g), mode_index(g), 0.5, 5.0)
+    assert main(["spectrum", "--graph", str(path), "--p-min", "0.5", "--p-max", "5"]) == 2
+    assert "unitary" in capsys.readouterr().err
+
+
+def test_poles_and_spectrum_run_without_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import graphscatter.cli as cli\n"
+        "tadpole, box = sys.argv[1:]\n"
+        "assert cli.main(['generate', 'tadpole', '--out', tadpole]) == 0\n"
+        "assert cli.main(['generate', 'interval_compact', '--out', box]) == 0\n"
+        "print(cli.main(['poles', '--graph', tadpole, '--out', tadpole + '.out']),\n"
+        "      cli.main(['spectrum', '--graph', box, '--p-min', '1', '--p-max', '10',\n"
+        "                '--out', box + '.out']),\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "tadpole.json"),
+                           str(tmp_path / "box.json")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "[]"]
+    assert len(read_json(tmp_path / "box.json.out")["p"]) == 3

@@ -5,11 +5,11 @@ from graphscatter import (
     DegenerateConstantPolynomial,
     EmptyInterval,
     FitResidualTooLarge,
-    FixtureUnknown,
     GraphSpec,
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
+    ReductionNotApplicable,
     ValidationError,
     assemble_blocks,
     assemble_propagation,
@@ -29,7 +29,7 @@ from graphscatter import (
     tetra2_local,
 )
 from graphscatter import spectral
-from _helpers import random_graph, random_locals
+from _helpers import compact_rational_ring, random_graph, random_locals
 
 
 def interval_system(r1=-1.0, r2=-1.0, length=1.0):
@@ -229,7 +229,7 @@ def test_symmetry_check_rejects_noncommuting_colouring():
     locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
     mats, commute = commuting_colour_matrices(col)
     assert not commute
-    with pytest.raises(FixtureUnknown):
+    with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(g, locs, idx, mats)
 
 
@@ -241,11 +241,11 @@ def test_symmetry_check_rejects_unsuitable_systems():
 
     # vertex-dependent locals
     mixed = [kirchhoff_local(0, 4), tetra2_local(1), tetra2_local(2), tetra2_local(3)]
-    with pytest.raises(FixtureUnknown):
+    with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(g, mixed, idx, mats)
 
     # wrong number of colour matrices
-    with pytest.raises(FixtureUnknown):
+    with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(g, kirch, idx, mats[:2])
 
     # unequal edge lengths
@@ -258,13 +258,13 @@ def test_symmetry_check_rejects_unsuitable_systems():
         tuple(e.vertex for e in g.external_edges),
     )
     g_uneven = build_graph(spec)
-    with pytest.raises(FixtureUnknown):
+    with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(g_uneven, kirch, mode_index(g_uneven), mats)
 
     # loops disqualify the reduction
     fix = canonical("tadpole")
     tg, tidx = fix.graph, mode_index(fix.graph)
-    with pytest.raises(FixtureUnknown):
+    with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(tg, list(fix.locals), tidx, [np.eye(1)])
 
 
@@ -421,3 +421,48 @@ def test_polynomial_accepts_lengths_within_tolerance():
     idx = mode_index(g)
     locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
     assert secular_polynomial(g, locs, idx, 1.0).degree_bound == 60
+
+
+# --- eigenphase counting engine ----------------------------------------
+
+
+def test_eigenmomenta_count_k4_multiplicities():
+    edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+    g = build_graph(GraphSpec(4, edges, ()))
+    locs = [kirchhoff_local(v, 3) for v in range(4)]
+    got = spectral._eigenmomenta(g, locs, mode_index(g), 0.1, 2 * np.pi)
+    # cos p = -1/3 from the adjacency eigenvalue -1 of K4; at p = pi and
+    # 2 pi the multiplicities are E - V and E - V + 2
+    edge = np.arccos(-1.0 / 3.0)
+    assert [k for _, k in got] == [3, 2, 3, 4]
+    want = [edge, np.pi, 2 * np.pi - edge, 2 * np.pi]
+    assert max(abs(p - w) for (p, _), w in zip(got, want)) < 1e-13
+
+
+def test_compact_spectrum_finds_every_root_of_rational_ring():
+    # the benchmark's seed-21 ring, where a |det| scan missed 8 of 87 roots
+    g, locs, idx = compact_rational_ring(21)
+    s22 = assemble_blocks(g, locs, idx, 0.0).int_int
+    u, _, _ = spectral._bond_matrix(idx, spectral._slot_powers(idx, 0.1), s22)
+    lam = np.linalg.eigvals(u)
+    # zeta = exp(-0.1 i p) on the unit circle; one period covers [0.1, 10]
+    on_circle = lam[np.abs(np.abs(lam) - 1.0) < 1e-8]
+    want = np.array([p for p in -np.angle(on_circle) / 0.1 if 0.1 <= p <= 10.0])
+    got = np.asarray(compact_spectrum(g, locs, idx, 0.1, 10.0))
+    assert len(got) == 87
+    assert all(np.min(np.abs(got - p)) < 1e-12 for p in want)
+    assert all(np.min(np.abs(want - p)) < 1e-12 for p in got)
+
+
+def test_compact_spectrum_interval_returns_both_ends():
+    g, locs, idx = interval_system()
+    got = compact_spectrum(g, locs, idx, np.pi, 2 * np.pi)
+    assert len(got) == 2
+    assert abs(got[0] - np.pi) < 1e-14 and abs(got[1] - 2 * np.pi) < 1e-14
+
+
+def test_compact_spectrum_refuses_momentum_dependent_locals():
+    g = build_graph(GraphSpec(1, ((0, 0, 1.0),), ()))
+    swap = momentum_local(0, 2, lambda p: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NonConstantLocals):
+        compact_spectrum(g, [swap], mode_index(g), 0.1, 5.0)
