@@ -9,6 +9,7 @@ from .errors import (
     FitResidualTooLarge,
     GraphScatterError,
     IncommensurableLengths,
+    InvalidCycle,
     MissingVertexMatrix,
     NearPole,
     NonConstantLocals,
@@ -18,7 +19,6 @@ from .errors import (
     NumericalError,
     ReductionNotApplicable,
     SeriesDiverges,
-    ShapeMismatch,
     SizeMismatch,
     SpecFileError,
     UnknownFixture,

@@ -3,8 +3,9 @@
 Subcommands: stot, poles, spectrum, verify, equiv, generate. Output is
 a pure function of the input file and flags; reruns are byte
 identical. Exit codes: 0 success, 1 file or parse problem, 2 invalid
-input data, 3 numerical failure (including verify/equiv tolerance
-violations and stray numpy LinAlgErrors).
+input data (non-finite numbers included), 3 numerical failure
+(including verify/equiv tolerance violations, stray numpy LinAlgErrors
+and running out of memory).
 
 stot, verify and equiv solve their whole momentum grid in this process
 with ``scattering_grid``; ``--workers`` is accepted and ignored.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -104,9 +106,13 @@ def _momentum_grid(args) -> list:
     if args.workers < 1:
         raise ValidationError("--workers must be at least 1")
     if args.p_list is not None:
+        if not all(map(math.isfinite, args.p_list)):
+            raise ValidationError("--p-list must hold finite momenta")
         return list(args.p_list)
     if args.steps < 1:
         raise ValidationError("--steps must be at least 1")
+    if not (math.isfinite(args.p_min) and math.isfinite(args.p_max)):
+        raise ValidationError("--p-min and --p-max must be finite")
     if not args.p_min < args.p_max:
         raise ValidationError("--p-min must be below --p-max")
     return [float(p) for p in np.linspace(args.p_min, args.p_max, args.steps)]
@@ -232,8 +238,8 @@ def _unless_flagged(values, near):
 
 
 def cmd_verify(args) -> int:
-    if args.tol <= 0:
-        raise ValidationError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValidationError("--tol must be positive and finite")
     _, g, locs, idx = _load_system(args.graph)
     grid = _momentum_grid(args)
     inv, uni, near = grid_defects(g, locs, idx, grid)
@@ -259,8 +265,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    if args.tol <= 0:
-        raise ValidationError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValidationError("--tol must be positive and finite")
     _, ga, la, ia = _load_system(args.graph)
     _, gb, lb, ib = _load_system(args.graph_b)
     if ga.n_external != gb.n_external:
@@ -347,6 +353,9 @@ def main(argv=None) -> int:
         return 3
     except np.linalg.LinAlgError as exc:
         print("error: numerical failure (LinAlgError: %s)" % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: out of memory (%s)" % exc, file=sys.stderr)
         return 3
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -52,8 +52,8 @@ class DegreeMismatch(ValidationError):
     pass
 
 
-class ShapeMismatch(ValidationError):
-    pass
+class InvalidCycle(ValidationError):
+    """A permutation meant as a single cycle is not one."""
 
 
 class NotCompact(ValidationError):

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegreeMismatch, NotInvolutive, ShapeMismatch, SizeMismatch
+from .errors import DegreeMismatch, InvalidCycle, NotInvolutive, SizeMismatch
 
 __all__ = [
     "LocalScattering",
@@ -102,19 +102,17 @@ def constant_local(vertex: int, entries) -> LocalScattering:
 
 
 def momentum_local(
-    vertex: int,
-    size: int,
-    evaluator: Callable[[complex], np.ndarray],
-    samples=_SAMPLE_MOMENTA,
+    vertex: int, size: int, evaluator: Callable[[complex], np.ndarray]
 ) -> LocalScattering:
     """Wrap a momentum-dependent evaluator.
 
-    The involution S(p) S(-p) = I is checked at each sample momentum;
-    the matrix is flagged unitary when S(p)^dagger S(p) = I holds at
-    every real sample as well. The evaluator must be pure.
+    The involution S(p) S(-p) = I is checked at each momentum of
+    _SAMPLE_MOMENTA; the matrix is flagged unitary when
+    S(p)^dagger S(p) = I holds at every one of them as well. The
+    evaluator must be pure.
     """
     unitary = True
-    for p in samples:
+    for p in _SAMPLE_MOMENTA:
         plus = np.asarray(evaluator(p), dtype=complex)
         minus = np.asarray(evaluator(-p), dtype=complex)
         if plus.shape != (size, size) or minus.shape != (size, size):
@@ -195,7 +193,7 @@ def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
     cycle = list(cycle)
     n = s.size - 1
     if len(cycle) != n or sorted(cycle) != list(range(n)):
-        raise ShapeMismatch(
+        raise InvalidCycle(
             "expected a permutation of %d internal slots, got %r" % (n, cycle)
         )
     # single-cycle check: the orbit of 0 must have length n
@@ -207,7 +205,7 @@ def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
         if pos == 0:
             break
     if seen != n:
-        raise ShapeMismatch("permutation %r is not a single %d-cycle" % (cycle, n))
+        raise InvalidCycle("permutation %r is not a single %d-cycle" % (cycle, n))
 
     rot = np.zeros((s.size, s.size))
     rot[0, 0] = 1.0

@@ -8,8 +8,9 @@ characteristic polynomial of the unit bond matrix U (Kottos &
 Smilansky, Ann. Phys. 274, 76, 1999): every directed internal slot of
 length m * unit owns m bonds, each bond hands its amplitude on to the
 next one, and the last bond of slot s applies row partner(s) of s22.
-Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U), so one
-eigendecomposition of U gives the polynomial, the poles with their
+Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U). secular_polynomial
+builds U once and keeps it with the lead couplings; one
+eigendecomposition of U then gives the polynomial, the poles with their
 multiplicities and the residues that tell genuine poles from
 removable determinant zeros.
 
@@ -56,10 +57,21 @@ FIT_RTOL = 1e-9
 # roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
-# a root whose residue in S_tot has at most this norm is removable; for
-# unitary vertex data that includes resonances with 1 - |zeta| below
-# about 5e-9
-RESIDUE_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class BondSystem:
+    """What find_poles reads of one system: the unit bond matrix u, the
+    first and last bond index of every slot, the lead blocks s12 and
+    E(0) s21 (s21 with the two slots of every edge swapped) and the
+    largest 2-norm of a vertex matrix."""
+
+    u: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    s12: np.ndarray
+    e0_s21: np.ndarray
+    vertex_norm: float
 
 
 @dataclass(frozen=True)
@@ -69,17 +81,15 @@ class SecularPolynomial:
     coefficients[k] multiplies zeta**k; degree_bound is the sum of
     length/unit over all directed internal slots, which is also the
     size of the unit bond matrix whose characteristic polynomial this
-    is. The source system is kept so that find_poles can rebuild the
-    bond matrix.
+    is. bond holds that matrix with the lead couplings for find_poles;
+    it is None when there are no internal edges.
     """
 
     unit_length: float
     coefficients: np.ndarray
     degree_bound: int
     slot_powers: tuple[int, ...]
-    graph: Graph
-    vertex_locals: tuple
-    index: ModeIndex
+    bond: BondSystem | None
 
     def __call__(self, zeta: complex) -> complex:
         return complex(np.polynomial.polynomial.polyval(zeta, self.coefficients))
@@ -144,6 +154,15 @@ def _bond_matrix(idx: ModeIndex, powers, s22: np.ndarray):
     return u, first, last
 
 
+def _constant_blocks(g: Graph, locals_, idx: ModeIndex, refusal, what: str):
+    """The validated vertex matrices and their blocks at p = 0; raises
+    refusal unless every vertex matrix is constant."""
+    resolved = resolve_locals(g, locals_, idx)
+    if not all(loc.is_constant for loc in resolved):
+        raise refusal("%s requires constant vertex matrices" % what)
+    return resolved, assemble_blocks(g, resolved, idx, 0.0)
+
+
 def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> SecularPolynomial:
     """Polynomial form of the secular determinant.
 
@@ -154,17 +173,14 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     the unit bond matrix and D is the degree bound. The result is
     checked against secular_determinant at 8 held-out momenta.
     """
-    resolved = resolve_locals(g, locals_, idx)
-    if not all(loc.is_constant for loc in resolved):
-        raise NonConstantLocals(
-            "polynomial form requires constant vertex matrices"
-        )
+    resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "polynomial form")
     powers = _slot_powers(idx, unit)
     degree = sum(powers)
     coeffs = np.ones(1, dtype=complex)
+    bond = None
     if degree > 0:
-        s22 = assemble_blocks(g, resolved, idx, 0.0).int_int
-        eigs = np.linalg.eigvals(_bond_matrix(idx, powers, s22)[0])
+        u, first, last = _bond_matrix(idx, powers, blocks.int_int)
+        eigs = np.linalg.eigvals(u)
         n_nodes = degree + 1
         nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
         values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
@@ -182,17 +198,13 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
                 raise FitResidualTooLarge(
                     "polynomial residual %.3e at held-out point" % abs(fitted - direct)
                 )
+        vertex_norm = max(np.linalg.norm(loc.constant, 2) for loc in resolved)
+        bond = BondSystem(u, first, last, blocks.ext_int,
+                          blocks.int_ext[list(idx.partner)], float(vertex_norm))
 
     coeffs.flags.writeable = False
-    return SecularPolynomial(
-        unit_length=unit,
-        coefficients=coeffs,
-        degree_bound=degree,
-        slot_powers=powers,
-        graph=g,
-        vertex_locals=tuple(resolved),
-        index=idx,
-    )
+    return SecularPolynomial(unit_length=unit, coefficients=coeffs, degree_bound=degree,
+                             slot_powers=powers, bond=bond)
 
 
 def _eigen_groups(u: np.ndarray):
@@ -231,40 +243,39 @@ def _eigen_groups(u: np.ndarray):
     return lam, right, lefts, groups
 
 
-def _group_residue(blocks, e0_s21, v_g, w_g, first, last) -> float:
-    """Norm of s12 P_g E(0) s21 for the spectral projector
-    P_g = V_g (W_g^H V_g)^-1 W_g^H of one eigenvalue group, restricted
-    to first-bond rows and last-bond columns. This is the residue of
-    S_tot at the group. When W_g^H V_g is not square (the group got
-    more or fewer left than right eigenvectors) or exactly singular,
-    the eigenvectors do not resolve the group; its residue is then
-    taken as infinite so that it is never called removable."""
+def _removable(bond: BondSystem, v_g, w_g, noise: float) -> bool:
+    """Whether the residue of S_tot at one eigenvalue group, the norm of
+    s12 P_g E(0) s21 for the spectral projector
+    P_g = V_g (W_g^H V_g)^-1 W_g^H (first-bond rows, last-bond columns),
+    is at most noise ||(W_g^H V_g)^-1||. A group whose W_g^H V_g is not
+    square (it got more or fewer left than right eigenvectors) or is
+    exactly singular is not resolved, and never called removable."""
     try:
-        coupling = np.linalg.solve(w_g.conj().T @ v_g, w_g[last].conj().T)
+        inverse = np.linalg.inv(w_g.conj().T @ v_g)
     except np.linalg.LinAlgError:
-        return math.inf
-    return float(np.linalg.norm(blocks.ext_int @ v_g[first] @ coupling @ e0_s21, 2))
+        return False
+    coupling = inverse @ w_g[bond.last].conj().T @ bond.e0_s21
+    residue = np.linalg.norm(bond.s12 @ v_g[bond.first] @ coupling, 2)
+    return bool(residue <= noise * np.linalg.norm(inverse, 2))
 
 
 def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list[PoleRecord]:
     """Roots of the secular polynomial in zeta.
 
-    The roots are the nonzero eigenvalues of the unit bond matrix,
-    grouped as in _eigen_groups (multiplicity = group size) and sorted
-    by modulus then argument. A group is removable when its residue in
-    the total scattering matrix is at most RESIDUE_TOL; removable
+    The roots are the nonzero eigenvalues of the unit bond matrix U
+    kept in poly.bond, grouped as in _eigen_groups (multiplicity =
+    group size) and sorted by modulus then argument. A group is
+    removable when its residue in the total scattering matrix is at most
+    the rounding noise of computing it, eps ||U|| s^2 ||(W_g^H V_g)^-1||
+    with s the largest 2-norm of a vertex matrix (_removable); removable
     groups are dropped unless include_removable is set. For a compact
     graph every root is kept since there is no external block.
     """
     if poly.degree_bound == 0:
-        raise DegenerateConstantPolynomial(
-            "graph has no internal edges; determinant is constant"
-        )
-    g, idx = poly.graph, poly.index
-    blocks = assemble_blocks(g, poly.vertex_locals, idx, 0.0)
-    u, first, last = _bond_matrix(idx, poly.slot_powers, blocks.int_int)
-    lam, right, lefts, groups = _eigen_groups(u)
-    e0_s21 = assemble_propagation(g, idx, 0.0).matrix @ blocks.int_ext
+        raise DegenerateConstantPolynomial("graph has no internal edges; determinant is constant")
+    bond = poly.bond
+    lam, right, lefts, groups = _eigen_groups(bond.u)
+    noise = np.finfo(float).eps * np.linalg.norm(bond.u, 2) * bond.vertex_norm ** 2
 
     records = []
     for members, left in zip(groups, lefts):
@@ -273,20 +284,11 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
             continue
         if abs(zeta.imag) <= ROOT_DEDUP_TOL:
             zeta = complex(zeta.real, 0.0)
-        removable = g.n_external > 0 and (
-            _group_residue(blocks, e0_s21, right[:, members], left, first, last)
-            <= RESIDUE_TOL
-        )
+        removable = len(bond.s12) > 0 and _removable(bond, right[:, members], left, noise)
         if removable and not include_removable:
             continue
-        records.append(
-            PoleRecord(
-                zeta=zeta,
-                p_representative=1j * cmath.log(zeta) / poly.unit_length,
-                multiplicity=len(members),
-                removable=removable,
-            )
-        )
+        p = 1j * cmath.log(zeta) / poly.unit_length
+        records.append(PoleRecord(zeta, p, multiplicity=len(members), removable=removable))
     records.sort(key=lambda r: (abs(r.zeta), cmath.phase(r.zeta)))
     return records
 
@@ -377,21 +379,19 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     a cluster narrower than ROOT_DEDUP_TOL, which _polish refines.
     """
     if g.n_external > 0:
-        raise NotCompact(
-            "spectrum is defined for graphs without external edges; found %d"
-            % g.n_external
-        )
+        raise NotCompact("spectrum is defined for graphs without external edges; found %d"
+                         % g.n_external)
+    if not (math.isfinite(p_min) and math.isfinite(p_max)):
+        raise ValidationError("need finite p_min and p_max, got [%r, %r]" % (p_min, p_max))
     if not (p_min < p_max):
         raise EmptyInterval("need p_min < p_max, got [%r, %r]" % (p_min, p_max))
-    resolved = resolve_locals(g, locals_, idx)
-    if not all(loc.is_constant for loc in resolved):
-        raise NonConstantLocals("spectrum requires constant vertex matrices")
+    resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "spectrum")
     if not all(loc.unitary for loc in resolved):
         raise ValidationError("spectrum requires unitary vertex matrices")
     if g.n_internal == 0:
         return []
 
-    bond = assemble_blocks(g, resolved, idx, 0.0).int_int[list(idx.partner)]
+    bond = blocks.int_int[list(idx.partner)]
     lengths = np.asarray(idx.slot_length)
     sample = _phase_sampler(bond, lengths)
     tol = 4.0 * len(lengths) * np.finfo(float).eps  # see _phase_sampler
@@ -433,33 +433,22 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
 
 def _sign_multiset(colour_matrices) -> list[tuple[tuple[int, ...], int]]:
     """Joint eigenvalue sign patterns with their multiplicities for a
-    family of commuting symmetric involutions M_a: the multiplicity of
-    sigma is the trace of the projector prod_a (I + sigma_a M_a) / 2."""
-    mats = [np.asarray(m) for m in colour_matrices]
-    eye = np.eye(mats[0].shape[0])
-    patterns = []
-    for bits in range(2 ** len(mats)):
-        sigma = tuple(-1 if (bits >> a) & 1 else 1 for a in range(len(mats)))
-        proj = eye
-        for sign, mat in zip(sigma, mats):
-            proj = proj @ (eye + sign * mat) / 2
-        count = float(np.trace(proj).real)
-        rounded = round(count)
-        if abs(count - rounded) > 1e-9:
-            raise ReductionNotApplicable(
-                "joint eigenspace dimension %r is not an integer; the "
-                "factorization shortcut does not apply" % count
-            )
-        if rounded < 0:
-            raise ReductionNotApplicable("negative eigenspace dimension %d" % rounded)
-        if rounded:
-            patterns.append((sigma, rounded))
-    total = sum(cnt for _, cnt in patterns)
-    if total != len(eye):
-        raise ReductionNotApplicable(
-            "eigenspace dimensions sum to %d, expected %d" % (total, len(eye))
-        )
-    return patterns
+    family of commuting symmetric involutions M_a.
+
+    On the joint eigenspace of sign pattern sigma the matrix
+    sum_a 2^a M_a has the eigenvalue sum_a sigma_a 2^a, an odd integer
+    that differs for every pattern, so one eigvalsh gives each
+    pattern's multiplicity. Patterns are listed by increasing bit mask
+    (2^nu - 1 - value) / 2, whose bit a is set where sigma_a = -1.
+    """
+    weights = 2.0 ** np.arange(len(colour_matrices))
+    stacked = np.tensordot(weights, np.asarray(colour_matrices, dtype=float), axes=1)
+    values, counts = np.unique(np.rint(np.linalg.eigvalsh(stacked)), return_counts=True)
+    top = 2 ** len(colour_matrices) - 1
+    return [
+        (tuple(-1 if (top - int(v)) // 2 >> a & 1 else 1 for a in range(len(weights))), int(c))
+        for v, c in zip(values[::-1], counts[::-1])
+    ]
 
 
 def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) -> bool:
@@ -472,15 +461,11 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
     vertex-pairing matrices. Refuses with ReductionNotApplicable when the
     reduction does not apply.
     """
-    resolved = resolve_locals(g, locals_, idx)
-    if not all(loc.is_constant for loc in resolved):
-        raise ReductionNotApplicable("reduction requires constant vertex matrices")
+    resolved, _ = _constant_blocks(g, locals_, idx, ReductionNotApplicable, "reduction")
     base = resolved[0].constant
     for loc in resolved[1:]:
         if loc.size != resolved[0].size or np.max(np.abs(loc.constant - base)) > 0:
-            raise ReductionNotApplicable(
-                "reduction requires the same matrix at every vertex"
-            )
+            raise ReductionNotApplicable("reduction requires the same matrix at every vertex")
     if any(e.is_loop for e in g.internal_edges):
         raise ReductionNotApplicable("reduction does not cover loops")
 
@@ -498,17 +483,13 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
 
     mats = [np.asarray(m, dtype=float) for m in colour_matrices]
     if len(mats) != nu:
-        raise ReductionNotApplicable(
-            "expected %d colour matrices, got %d" % (nu, len(mats))
-        )
+        raise ReductionNotApplicable("expected %d colour matrices, got %d" % (nu, len(mats)))
     n = g.vertex_count
     for a, mat in enumerate(mats):
         if mat.shape != (n, n):
             raise ReductionNotApplicable("colour matrix %d has shape %r" % (a, mat.shape))
         if np.max(np.abs(mat - mat.T)) > 0 or np.max(np.abs(mat @ mat - np.eye(n))) > 1e-12:
             raise ReductionNotApplicable("colour matrix %d is not a symmetric involution" % a)
-        if np.max(np.abs(np.diag(mat))) > 0:
-            raise ReductionNotApplicable("colour matrix %d pairs a vertex with itself" % a)
     for a in range(nu):
         for b in range(a + 1, nu):
             if np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) > 0:
@@ -527,8 +508,7 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
             perm = [heads.index(int(w[0])) for w in partners]
         except ValueError:
             raise ReductionNotApplicable(
-                "colour pairing at vertex %d does not match the graph" % v
-            )
+                "colour pairing at vertex %d does not match the graph" % v)
         reduced = base[k_ext:, k_ext:][np.ix_(perm, perm)]
         if s_red is None:
             s_red = reduced

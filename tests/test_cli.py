@@ -432,3 +432,48 @@ def test_poles_and_spectrum_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "[]"]
     assert len(read_json(tmp_path / "box.json.out")["p"]) == 3
+
+
+def one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_non_finite_tolerance_exits_2(tmp_path, capsys):
+    graph = gen(tmp_path, "fabry_perot")
+    for tol in ("inf", "nan"):
+        assert main(["verify", "--graph", graph, "--tol", tol]) == 2
+        assert one_error_line(capsys)
+        assert main(["equiv", "--graph", graph, "--graph-b", graph, "--tol", tol]) == 2
+        assert one_error_line(capsys)
+
+
+def test_non_finite_momenta_exit_2(tmp_path, capsys):
+    graph = gen(tmp_path, "fabry_perot")
+    compact = gen(tmp_path, "interval_compact")
+    for argv in (
+        ["stot", "--graph", graph, "--p-max", "inf"],
+        ["stot", "--graph", graph, "--p-min=-inf"],
+        ["verify", "--graph", graph, "--p-list", "0.5,nan"],
+        ["equiv", "--graph", graph, "--graph-b", graph, "--p-list", "inf"],
+        ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "inf"],
+        ["spectrum", "--graph", compact, "--p-min", "nan", "--p-max", "2"],
+    ):
+        assert main(argv) == 2, argv
+        assert one_error_line(capsys), argv
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys):
+    # every size here needs more bytes than a 47-bit address space
+    # holds, so the allocation fails at once
+    graph = gen(tmp_path, "fabry_perot")
+    compact = gen(tmp_path, "interval_compact")
+    tetra = gen(tmp_path, "tetrahedron")
+    for argv in (
+        ["stot", "--graph", graph, "--steps", "1000000000000000"],
+        ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "1e15"],
+        # 2**50 bonds per slot
+        ["poles", "--graph", tetra, "--unit", repr(2.0**-50)],
+    ):
+        assert main(argv) == 3, argv
+        assert one_error_line(capsys), argv

@@ -4,7 +4,7 @@ import pytest
 from graphscatter import (
     DegreeMismatch,
     NotInvolutive,
-    ShapeMismatch,
+    InvalidCycle,
     SizeMismatch,
     check_rotation_invariance,
     constant_local,
@@ -113,9 +113,9 @@ def test_rotation_invariance_families():
 
 
 def test_rotation_invariance_rejects_non_cycles():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidCycle):
         check_rotation_invariance(kirchhoff_local(0, 4), [0, 1])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidCycle):
         check_rotation_invariance(kirchhoff_local(0, 4), [0, 2, 1])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidCycle):
         check_rotation_invariance(kirchhoff_local(0, 4), [1, 0, 2])

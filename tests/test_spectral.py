@@ -466,3 +466,98 @@ def test_compact_spectrum_refuses_momentum_dependent_locals():
     swap = momentum_local(0, 2, lambda p: np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NonConstantLocals):
         compact_spectrum(g, [swap], mode_index(g), 0.1, 5.0)
+
+
+# --- one bond system per polynomial ------------------------------------
+
+
+def test_find_poles_reads_only_the_polynomial(monkeypatch):
+    g, _ = platonic("tetrahedron")
+    idx = mode_index(g)
+    tetra = secular_polynomial(g, [tetra2_local(v) for v in range(4)], idx, 1.0)
+    fix = canonical("fabry_perot")
+    fabry = secular_polynomial(fix.graph, list(fix.locals), mode_index(fix.graph), 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_poles rebuilt the system")
+
+    for name in ("resolve_locals", "assemble_blocks", "assemble_propagation"):
+        monkeypatch.setattr(spectral, name, refuse)
+    got = [
+        [(rec.zeta, rec.multiplicity, rec.removable)
+         for rec in find_poles(poly, include_removable=True)]
+        for poly in (tetra, fabry)
+    ]
+    want = [
+        [(0.5, 1, False), (-0.6286669787764617, 3, False), (0.7953336454431279, 3, False),
+         (-1.0, 3, True), (1.0, 2, True)],
+        [(-0.6, 1, False), (0.6, 1, False)],
+    ]
+    for records, expected in zip(got, want):
+        assert [(k, r) for _, k, r in records] == [(k, r) for _, k, r in expected]
+        assert max(abs(z - w) for (z, _, _), (w, _, _) in zip(records, expected)) < 1e-12
+
+
+def test_sign_multiset_counts_repeated_patterns():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        nu = int(rng.integers(1, 4))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        # few distinct rows so that sign patterns repeat
+        signs = rng.choice([-1.0, 1.0], size=(int(rng.integers(1, 4)), nu))
+        rows = signs[rng.integers(0, len(signs), size=n)]
+        mats = [q @ np.diag(rows[:, a]) @ q.T for a in range(nu)]
+        eye = np.eye(n)
+        want = []
+        for bits in range(2**nu):
+            sigma = tuple(-1 if (bits >> a) & 1 else 1 for a in range(nu))
+            proj = eye
+            for sign, mat in zip(sigma, mats):
+                proj = proj @ (eye + sign * mat) / 2
+            count = round(float(np.trace(proj)))
+            if count:
+                want.append((sigma, count))
+        assert spectral._sign_multiset(mats) == want
+
+
+def snapped_random_system(seed, k):
+    """System k (from 0) drawn from rng seed by random_graph and
+    random_locals: graphs with internal edges, lengths snapped to
+    multiples of 0.5, non-unitary vertex data."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = random_graph(rng)
+        if g.n_internal == 0:
+            continue
+        g = build_graph(GraphSpec(
+            g.vertex_count,
+            tuple((e.u, e.v, 0.5 * max(1, round(e.length / 0.5))) for e in g.internal_edges),
+            tuple(e.vertex for e in g.external_edges),
+        ))
+        idx = mode_index(g)
+        locs = random_locals(rng, g, idx)
+        if k == 0:
+            return g, locs, idx
+        k -= 1
+
+
+def test_find_poles_keeps_genuine_pole_with_small_residue():
+    # the pole at zeta = 1.4569 has a residue of 3.8e-9 in S_tot; an
+    # absolute residue bound of 1e-8 called it removable
+    g, locs, idx = snapped_random_system(5, 281)
+    poly = secular_polynomial(g, locs, idx, 0.5)
+    (rec,) = [rec for rec in find_poles(poly) if abs(rec.zeta - 1.456907) < 1e-6]
+    assert rec.multiplicity == 1 and not rec.removable
+    # independent of the engine: max|S_tot| at zeta (1 + delta) grows
+    # tenfold as delta shrinks tenfold
+    blocks = assemble_blocks(g, locs, idx, 0.0)
+
+    def peak(zeta):
+        p = 1j * np.log(zeta) / poly.unit_length
+        m = assemble_propagation(g, idx, p).matrix - blocks.int_int
+        s = blocks.ext_ext + blocks.ext_int @ np.linalg.solve(m, blocks.int_ext)
+        return float(np.max(np.abs(s)))
+
+    growth = peak(rec.zeta * (1 + 1e-12)) / peak(rec.zeta * (1 + 1e-11))
+    assert 8.0 < growth < 12.0
