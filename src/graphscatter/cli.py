@@ -25,7 +25,7 @@ from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic
 from .graph import build_graph, mode_index
 from .local import kirchhoff_local
 from .solve import grid_defects, scattering_grid
-from .specfile import graph_to_spec, load_spec, locals_from_spec, save_spec, spec_to_dict
+from .specfile import graph_to_spec, load_spec, locals_from_spec, spec_to_dict
 from .spectral import compact_spectrum, find_poles, secular_polynomial
 
 __all__ = ["main", "build_parser"]
@@ -118,33 +118,30 @@ def _momentum_grid(args) -> list:
     return [float(p) for p in np.linspace(args.p_min, args.p_max, args.steps)]
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _cell(x) -> str:
+    # null as nan, bools and ints as integers, floats to 17 digits (round-trip)
+    if x is None:
+        return "nan"
+    if isinstance(x, int):
+        return str(int(x))
+    return "%.17g" % x
+
+
+def _emit(args, doc, header, rows) -> None:
+    """The one output path: the JSON document doc() or the CSV header
+    and rows, as --format asks, to --out or stdout. Only the chosen
+    format is built."""
+    if args.format == "json":
+        text = json.dumps(doc(), indent=2, allow_nan=False) + "\n"
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    def cell(x):
-        if isinstance(x, str):
-            return x
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        return "%.17g" % x
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _complex_pair(z: complex):
-    return [float(z.real), float(z.imag)]
 
 
 # (k, k, 3) re, im, |.|^2 of each entry; per matrix, to cap output memory
@@ -162,25 +159,25 @@ def cmd_stot(args) -> int:
     _, g, locs, idx = _load_system(args.graph)
     grid = _momentum_grid(args)
     stack, near = scattering_grid(g, locs, idx, grid)
-
     k = g.n_external
-    if args.format == "json":
+    flags = near.tolist()
+
+    def doc():
         records = [
             {"p": p, "near_pole": flagged,
              "matrix": None if flagged else part[..., :2].tolist(),
              "abs2": None if flagged else part[..., 2].tolist()}
-            for p, flagged, part in zip(grid, near.tolist(), map(_entry_parts, stack))
+            for p, flagged, part in zip(grid, flags, map(_entry_parts, stack))
         ]
-        text = _json_text({"command": "stot", "external_modes": k, "results": records})
-    else:
-        header = ["p", "near_pole"] + [
-            "%s_%d_%d" % (name, i + 1, j + 1)
-            for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
-        ]
-        rows = [[p, int(flagged), *_entry_parts(mat).ravel().tolist()]
-                for p, flagged, mat in zip(grid, near.tolist(), stack)]
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
+        return {"command": "stot", "external_modes": k, "results": records}
+
+    header = ["p", "near_pole"] + [
+        "%s_%d_%d" % (name, i + 1, j + 1)
+        for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
+    ]
+    rows = ([p, flagged, *_entry_parts(mat).ravel().tolist()]
+            for p, flagged, mat in zip(grid, flags, stack))
+    _emit(args, doc, header, rows)
     return 0
 
 
@@ -192,49 +189,58 @@ def cmd_poles(args) -> int:
     poly = secular_polynomial(g, locs, idx, unit)
     poles = find_poles(poly, include_removable=args.include_removable)
 
-    if args.format == "json":
+    def doc():
         records = [
             {
-                "zeta": _complex_pair(rec.zeta),
-                "p_representative": _complex_pair(rec.p_representative),
+                "zeta": [rec.zeta.real, rec.zeta.imag],
+                "p_representative": [rec.p_representative.real, rec.p_representative.imag],
                 "multiplicity": rec.multiplicity,
                 "removable": rec.removable,
             }
             for rec in poles
         ]
-        text = _json_text({"command": "poles", "unit_length": unit, "poles": records})
-    else:
-        header = ["zeta_re", "zeta_im", "p_re", "p_im", "multiplicity", "removable"]
-        rows = [
-            [rec.zeta.real, rec.zeta.imag, rec.p_representative.real,
-             rec.p_representative.imag, rec.multiplicity, 1 if rec.removable else 0]
-            for rec in poles
-        ]
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
+        return {"command": "poles", "unit_length": unit, "poles": records}
+
+    header = ["zeta_re", "zeta_im", "p_re", "p_im", "multiplicity", "removable"]
+    rows = (
+        [rec.zeta.real, rec.zeta.imag, rec.p_representative.real,
+         rec.p_representative.imag, rec.multiplicity, rec.removable]
+        for rec in poles
+    )
+    _emit(args, doc, header, rows)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     _, g, locs, idx = _load_system(args.graph)
     momenta = compact_spectrum(g, locs, idx, args.p_min, args.p_max)
-    if args.format == "json":
-        text = _json_text(
-            {"command": "spectrum", "p_min": args.p_min, "p_max": args.p_max,
-             "p": [float(p) for p in momenta]}
-        )
-    else:
-        text = _csv_text(["p"], [[float(p)] for p in momenta])
-    _emit(text, args.out)
+    doc = {"command": "spectrum", "p_min": args.p_min, "p_max": args.p_max, "p": momenta}
+    _emit(args, lambda: doc, ["p"], ([p] for p in momenta))
     return 0
 
 
-def _max_unflagged(values, near):
-    return float(np.max(values[~near])) if not near.all() else None
+def _defect_report(args, command, grid, near, defects) -> int:
+    """Write a verify or equiv report and return its exit code.
 
+    defects maps each name to its (P,) values. Flagged points give null
+    (nan in CSV) and are left out of max_<name>; pass needs an unflagged
+    point and every maximum within --tol. Exit code 0 on pass, else 3.
+    """
+    flags = near.tolist()
+    columns = {name: [None if flagged else v for flagged, v in zip(flags, values.tolist())]
+               for name, values in defects.items()}
+    maxima = {"max_" + name: None if near.all() else float(np.max(values[~near]))
+              for name, values in defects.items()}
+    ok = not near.all() and max(maxima.values()) <= args.tol
 
-def _unless_flagged(values, near):
-    return [None if flagged else v for flagged, v in zip(near.tolist(), values.tolist())]
+    def doc():
+        records = [{"p": p, "near_pole": flagged, **dict(zip(columns, values))}
+                   for p, flagged, *values in zip(grid, flags, *columns.values())]
+        return {"command": command, "tolerance": args.tol, **maxima, "pass": ok,
+                "results": records}
+
+    _emit(args, doc, ["p", "near_pole", *columns], zip(grid, flags, *columns.values()))
+    return 0 if ok else 3
 
 
 def cmd_verify(args) -> int:
@@ -243,25 +249,8 @@ def cmd_verify(args) -> int:
     _, g, locs, idx = _load_system(args.graph)
     grid = _momentum_grid(args)
     inv, uni, near = grid_defects(g, locs, idx, grid)
-    max_inv, max_uni = (_max_unflagged(d, near) for d in (inv, uni))
-    ok = max_inv is not None and max(max_inv, max_uni) <= args.tol
-
-    if args.format == "json":
-        records = [
-            {"p": p, "near_pole": flagged, "involution_defect": i, "unitarity_defect": u}
-            for p, flagged, i, u in zip(grid, near.tolist(), _unless_flagged(inv, near),
-                                        _unless_flagged(uni, near))
-        ]
-        text = _json_text({"command": "verify", "tolerance": args.tol,
-                           "max_involution_defect": max_inv, "max_unitarity_defect": max_uni,
-                           "pass": ok, "results": records})
-    else:
-        header = ["p", "near_pole", "involution_defect", "unitarity_defect"]
-        rows = [[p, int(flagged), i, u]
-                for p, flagged, i, u in zip(grid, near.tolist(), inv.tolist(), uni.tolist())]
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
-    return 0 if ok else 3
+    return _defect_report(args, "verify", grid, near,
+                          {"involution_defect": inv, "unitarity_defect": uni})
 
 
 def cmd_equiv(args) -> int:
@@ -277,25 +266,8 @@ def cmd_equiv(args) -> int:
     grid = _momentum_grid(args)
     sa, near_a = scattering_grid(ga, la, ia, grid)
     sb, near_b = scattering_grid(gb, lb, ib, grid)
-    near = near_a | near_b
     deviation = np.max(np.abs(sa - sb), axis=(1, 2), initial=0.0)
-    max_dev = _max_unflagged(deviation, near)
-    ok = max_dev is not None and max_dev <= args.tol
-
-    if args.format == "json":
-        records = [
-            {"p": p, "near_pole": flagged, "deviation": dev}
-            for p, flagged, dev in zip(grid, near.tolist(), _unless_flagged(deviation, near))
-        ]
-        text = _json_text({"command": "equiv", "tolerance": args.tol,
-                           "max_deviation": max_dev, "pass": ok, "results": records})
-    else:
-        header = ["p", "near_pole", "deviation"]
-        rows = [[p, int(flagged), dev]
-                for p, flagged, dev in zip(grid, near.tolist(), deviation.tolist())]
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
-    return 0 if ok else 3
+    return _defect_report(args, "equiv", grid, near_a | near_b, {"deviation": deviation})
 
 
 def _generated_fixture(name: str):
@@ -321,10 +293,7 @@ def cmd_generate(args) -> int:
     if args.format == "csv":
         raise ValidationError("generate only writes json graph files")
     spec = _generated_fixture(args.name)
-    if args.out:
-        save_spec(spec, args.out)
-    else:
-        sys.stdout.write(json.dumps(spec_to_dict(spec), indent=2) + "\n")
+    _emit(args, lambda: spec_to_dict(spec), None, None)
     return 0
 
 
