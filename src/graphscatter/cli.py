@@ -9,6 +9,10 @@ and running out of memory).
 
 stot, verify and equiv solve their whole momentum grid in this process
 with ``scattering_grid``; ``--workers`` is accepted and ignored.
+
+Each subcommand describes its output once, as a JSON document plus CSV
+header and rows, and ``_emit`` is the single writer that renders the
+requested format to --out or stdout.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import NumericalError, SpecFileError, ValidationError
 from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic, triangle_and_star_pair
 from .graph import build_graph, mode_index
 from .local import kirchhoff_local
-from .solve import grid_defects, scattering_grid
+from .solve import MAX_GRID_POINTS, grid_defects, scattering_grid
 from .specfile import graph_to_spec, load_spec, locals_from_spec, spec_to_dict
 from .spectral import compact_spectrum, find_poles, secular_polynomial
 
@@ -115,6 +119,10 @@ def _momentum_grid(args) -> list:
         raise ValidationError("--p-min and --p-max must be finite")
     if not args.p_min < args.p_max:
         raise ValidationError("--p-min must be below --p-max")
+    if not math.isfinite(args.p_max - args.p_min):
+        raise ValidationError("--p-max - --p-min must be finite")
+    if args.steps > MAX_GRID_POINTS:
+        raise MemoryError("%d momenta exceed numpy's array size limit" % args.steps)
     return [float(p) for p in np.linspace(args.p_min, args.p_max, args.steps)]
 
 

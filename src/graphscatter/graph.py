@@ -9,6 +9,7 @@ are written in these slot orderings.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -156,7 +157,8 @@ def build_graph(spec: GraphSpec) -> Graph:
     """Validate a GraphSpec and return the immutable Graph.
 
     Raises DanglingVertexReference for out of range vertex indices,
-    NonPositiveLength for a zero or negative edge length and
+    ValidationError for a non-finite edge length, NonPositiveLength
+    for a zero or negative one and
     DisconnectedGraph when the internal edges do not connect all
     vertices.
     """
@@ -171,6 +173,8 @@ def build_graph(spec: GraphSpec) -> Graph:
             raise DanglingVertexReference(
                 "internal edge %d references vertex outside 0..%d" % (eid, n - 1)
             )
+        if not math.isfinite(length):
+            raise ValidationError("internal edge %d has non-finite length %r" % (eid, length))
         if not (length > 0):
             raise NonPositiveLength(
                 "internal edge %d has non-positive length %r" % (eid, length)

@@ -87,7 +87,7 @@ def constant_local(vertex: int, entries) -> LocalScattering:
     """Wrap a constant matrix, verifying S S = I within 1e-10."""
     mat = _as_square(entries, vertex)
     defect = _involution_defect(mat, mat)
-    if defect >= INVOLUTION_TOL:
+    if not defect < INVOLUTION_TOL:
         raise NotInvolutive(
             "matrix for vertex %d violates S*S = I (defect %.3e)" % (vertex, defect)
         )
@@ -121,12 +121,12 @@ def momentum_local(
                 % (vertex, plus.shape, size, size)
             )
         defect = _involution_defect(plus, minus)
-        if defect >= INVOLUTION_TOL:
+        if not defect < INVOLUTION_TOL:
             raise NotInvolutive(
                 "evaluator for vertex %d violates S(p)S(-p) = I at p=%r (defect %.3e)"
                 % (vertex, p, defect)
             )
-        if _unitarity_defect(plus) >= INVOLUTION_TOL:
+        if not _unitarity_defect(plus) < INVOLUTION_TOL:
             unitary = False
     return LocalScattering(
         vertex=vertex,

@@ -18,6 +18,7 @@ provided as an independent oracle for testing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import nan
 
@@ -45,6 +46,10 @@ NEAR_POLE_RTOL = 1e-12
 
 # resolvent entries per chunk of a grid; bounds a sweep's working memory
 _CHUNK_ELEMENTS = 1 << 18
+
+# longest float64 array numpy can index; longer momentum grids raise
+# MemoryError instead of numpy's ValueError or IndexError
+MAX_GRID_POINTS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
     for chunk, s_tot, _, _, flags in _resolvent_chunks(g, locals_, idx, momenta):
         stack[chunk] = s_tot
         near[chunk] = flags
-    stack[near] = nan
+    stack[near] = complex(nan, nan)
     return stack, near
 
 

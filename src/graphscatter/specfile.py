@@ -8,6 +8,7 @@ ignored.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,8 @@ def _parse_unit(value) -> float:
             raise SpecFileError("lengths_unit %r is not a rational like '3/4'" % value)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError("lengths_unit must be a number or 'p/q' string")
+    elif not math.isfinite(value):
+        raise SpecFileError("lengths_unit must be finite, got %r" % value)
     else:
         unit = Fraction(value)
     if unit <= 0:
@@ -166,9 +169,12 @@ def parse_spec(data) -> GraphSpec:
 
 
 def load_spec(path) -> GraphSpec:
+    def refuse(literal):
+        raise SpecFileError("%s is not valid JSON: %s is not a JSON number" % (path, literal))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise SpecFileError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:

@@ -41,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
+from .solve import MAX_GRID_POINTS
 
 __all__ = [
     "SecularPolynomial",
@@ -385,6 +386,8 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
         raise ValidationError("need finite p_min and p_max, got [%r, %r]" % (p_min, p_max))
     if not (p_min < p_max):
         raise EmptyInterval("need p_min < p_max, got [%r, %r]" % (p_min, p_max))
+    if not math.isfinite(p_max - p_min):
+        raise ValidationError("need a finite width p_max - p_min, got [%r, %r]" % (p_min, p_max))
     resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "spectrum")
     if not all(loc.unitary for loc in resolved):
         raise ValidationError("spectrum requires unitary vertex matrices")
@@ -397,8 +400,11 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     tol = 4.0 * len(lengths) * np.finfo(float).eps  # see _phase_sampler
     # the grid overhangs both ends so that no root sits on its first point
     lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
-    steps = math.ceil((hi_end - lo_end) * max(lengths) / (0.5 * math.pi))
-    grid = [sample(p) for p in np.linspace(lo_end, hi_end, steps + 1)]
+    steps = (hi_end - lo_end) * max(idx.slot_length) / (0.5 * math.pi)
+    if not steps < MAX_GRID_POINTS:
+        raise MemoryError("[%r, %r] needs %.3g momenta, beyond numpy's array size limit"
+                          % (p_min, p_max, steps))
+    grid = [sample(p) for p in np.linspace(lo_end, hi_end, math.ceil(steps) + 1)]
     brackets = list(zip(grid[:-1], grid[1:]))[::-1]
     roots = []
     while brackets:

@@ -458,6 +458,9 @@ def test_non_finite_momenta_exit_2(tmp_path, capsys):
         ["equiv", "--graph", graph, "--graph-b", graph, "--p-list", "inf"],
         ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "inf"],
         ["spectrum", "--graph", compact, "--p-min", "nan", "--p-max", "2"],
+        # finite bounds whose difference overflows
+        ["stot", "--graph", graph, "--p-min=-1e308", "--p-max=1e308", "--steps", "3"],
+        ["spectrum", "--graph", compact, "--p-min=-1e308", "--p-max=1e308"],
     ):
         assert main(argv) == 2, argv
         assert one_error_line(capsys), argv
@@ -472,8 +475,137 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
     for argv in (
         ["stot", "--graph", graph, "--steps", "1000000000000000"],
         ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "1e15"],
+        # beyond numpy's array size limit
+        ["stot", "--graph", graph, "--steps", "10000000000000000000"],
+        ["verify", "--graph", graph, "--steps", "10000000000000000000"],
+        ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "1e300"],
         # 2**50 bonds per slot
         ["poles", "--graph", tetra, "--unit", repr(2.0**-50)],
     ):
         assert main(argv) == 3, argv
         assert one_error_line(capsys), argv
+
+
+@pytest.mark.parametrize("where, value", [
+    (("internal_edges", 0, "length"), math.inf),
+    (("internal_edges", 0, "length"), math.nan),
+    (("vertex_locals", 0, "matrix", 0, 0), math.nan),
+    (("lengths_unit",), math.inf),
+], ids=["length-inf", "length-nan", "matrix-nan", "unit-inf"])
+def test_non_finite_numbers_in_graph_files_exit_1(tmp_path, capsys, where, value):
+    doc = {"vertices": 2, "internal_edges": [{"u": 1, "v": 2, "length": 1.0}],
+           "external_edges": [{"vertex": 1}], "lengths_unit": 1.0,
+           "vertex_locals": [{"vertex": 1, "family": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+                             {"vertex": 2, "family": "kirchhoff"}]}
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    graph = tmp_path / "graph.json"
+    # json.dumps writes the literals Infinity and NaN, which JSON lacks
+    graph.write_text(json.dumps(doc))
+    for argv in (["stot", "--graph", str(graph)], ["verify", "--graph", str(graph)],
+                 ["poles", "--graph", str(graph), "--unit", "1"]):
+        assert main(argv) == 1, argv
+        assert one_error_line(capsys), argv
+
+
+# top-level JSON keys and CSV columns of each subcommand, as the README
+# documents them; stot has re/im/abs2 columns per entry of its k x k matrix
+DOCUMENTED_KEYS = {
+    "stot": ["command", "external_modes", "results"],
+    "poles": ["command", "unit_length", "poles"],
+    "spectrum": ["command", "p_min", "p_max", "p"],
+    "verify": ["command", "tolerance", "max_involution_defect", "max_unitarity_defect",
+               "pass", "results"],
+    "equiv": ["command", "tolerance", "max_deviation", "pass", "results"],
+}
+DOCUMENTED_COLUMNS = {
+    "poles": ["zeta_re", "zeta_im", "p_re", "p_im", "multiplicity", "removable"],
+    "spectrum": ["p"],
+    "verify": ["p", "near_pole", "involution_defect", "unitarity_defect"],
+    "equiv": ["p", "near_pole", "deviation"],
+}
+
+
+def stot_columns(k):
+    return ["p", "near_pole"] + ["%s_%d_%d" % (name, i, j) for i in range(1, k + 1)
+                                 for j in range(1, k + 1) for name in ("re", "im", "abs2")]
+
+
+def csv_values(doc):
+    """The CSV rows a JSON document stands for, value by value."""
+    command = doc["command"]
+    if command == "stot":
+        rows = []
+        for rec in doc["results"]:
+            cells = [None] * 3 * doc["external_modes"] ** 2
+            if rec["matrix"] is not None:
+                cells = [x for row, abs2 in zip(rec["matrix"], rec["abs2"])
+                         for (re, im), a in zip(row, abs2) for x in (re, im, a)]
+            rows.append([rec["p"], rec["near_pole"]] + cells)
+        return rows
+    if command == "poles":
+        return [[*rec["zeta"], *rec["p_representative"], rec["multiplicity"], rec["removable"]]
+                for rec in doc["poles"]]
+    if command == "spectrum":
+        return [[p] for p in doc["p"]]
+    return [[rec[name] for name in DOCUMENTED_COLUMNS[command]] for rec in doc["results"]]
+
+
+def cell_matches(cell, value):
+    if value is None:
+        return cell == "nan"
+    if isinstance(value, int):  # bools included
+        return cell == str(int(value))
+    return float(cell) == value
+
+
+def test_json_and_csv_outputs_agree(tmp_path):
+    graphs = {name: gen(tmp_path, name) for name in
+              ("tadpole", "triangle", "star", "line2", "fabry_perot", "cube", "interval_compact")}
+    # lead decoupled from the edge, as in test_stot_near_pole_flag
+    bound = tmp_path / "bound.json"
+    save_spec(GraphSpec(2, ((0, 1, 1.0),), (0,), vertex_locals=(
+        LocalSpec(matrix=((1.0, 0.0), (0.0, -1.0))), LocalSpec(matrix=((-1.0,),)))), bound)
+    pi_list = "--p-list=0,1.0,%.17g" % math.pi
+    runs = []
+    for path in graphs.values():
+        runs += [["stot", "--graph", path, "--steps", "5"],
+                 ["verify", "--graph", path, "--steps", "5"],
+                 ["poles", "--graph", path]]
+    box = graphs["interval_compact"]
+    runs += [
+        ["spectrum", "--graph", box, "--p-min", "1", "--p-max", "10"],
+        ["equiv", "--graph", box, "--graph-b", box, pi_list],
+        ["equiv", "--graph", graphs["triangle"], "--graph-b", graphs["star"], "--steps", "5"],
+        ["equiv", "--graph", graphs["line2"], "--graph-b", graphs["fabry_perot"], "--steps", "5"],
+        ["poles", "--graph", graphs["tadpole"], "--include-removable"],
+        ["verify", "--graph", graphs["tadpole"], "--steps", "5", "--tol", "1e-30"],
+        ["stot", "--graph", str(bound), pi_list],
+        ["verify", "--graph", str(bound), pi_list],
+        ["equiv", "--graph", str(bound), "--graph-b", str(bound), pi_list],
+    ]
+    outcomes = set()
+    for argv in runs:
+        out = {fmt: tmp_path / ("out." + fmt) for fmt in ("json", "csv")}
+        codes = {fmt: main(argv + ["--format", fmt, "--out", str(path)])
+                 for fmt, path in out.items()}
+        text = out["json"].read_text()
+        doc = json.loads(text)
+        assert codes["json"] == codes["csv"] == (0 if doc.get("pass", True) else 3), argv
+        outcomes.add((argv[0], codes["json"]))
+        assert text == json.dumps(doc, indent=2) + "\n", argv
+        assert list(doc) == DOCUMENTED_KEYS[argv[0]], argv
+        header, *lines = out["csv"].read_text().splitlines()
+        columns = (stot_columns(doc["external_modes"]) if argv[0] == "stot"
+                   else DOCUMENTED_COLUMNS[argv[0]])
+        assert header.split(",") == columns, argv
+        rows = csv_values(doc)
+        assert len(lines) == len(rows), argv
+        for line, row in zip(lines, rows):
+            cells = line.split(",")
+            assert len(cells) == len(row), argv
+            assert all(cell_matches(c, v) for c, v in zip(cells, row)), (argv, line, row)
+    assert {("verify", 3), ("equiv", 3)} <= outcomes

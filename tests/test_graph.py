@@ -64,6 +64,12 @@ def test_build_graph_rejects_bad_lengths():
         build_graph(GraphSpec(2, ((0, 1, -2.0),), (0,)))
 
 
+@pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan])
+def test_build_graph_refuses_non_finite_length(length):
+    with pytest.raises(ValidationError, match="internal edge 1 has non-finite length"):
+        build_graph(GraphSpec(2, ((0, 1, 1.0), (0, 1, length)), (0,)))
+
+
 def test_build_graph_rejects_dangling_references():
     with pytest.raises(DanglingVertexReference):
         build_graph(GraphSpec(2, ((0, 2, 1.0),), (0,)))

@@ -30,6 +30,11 @@ def test_constant_local_rejects_non_involution():
         constant_local(0, [[1.0, 1.0], [0.0, 1.0]])
 
 
+def test_constant_local_refuses_nan_entry():
+    with pytest.raises(NotInvolutive):
+        constant_local(0, [[np.nan, 0.0], [0.0, 1.0]])
+
+
 def test_constant_local_rejects_non_square():
     with pytest.raises(SizeMismatch):
         constant_local(0, [[1.0, 0.0]])
@@ -83,6 +88,11 @@ def test_momentum_local_unitary_flag():
         0, 2, lambda p: np.array([[1.0, -2.0 * p * p], [0.0, -1.0]], dtype=complex)
     )
     assert not loc.unitary
+
+
+def test_momentum_local_refuses_nan_evaluator():
+    with pytest.raises(NotInvolutive):
+        momentum_local(0, 2, lambda p: np.full((2, 2), np.nan))
 
 
 def test_evaluator_shape_checked_at_call():

@@ -120,7 +120,7 @@ def test_lengths_unit_forms():
     assert parse_spec(doc).lengths_unit == 0.5
     doc["lengths_unit"] = "0.25"
     assert parse_spec(doc).lengths_unit == 0.25
-    for bad in ("zero", "1/0", 0, -2.0, True):
+    for bad in ("zero", "1/0", 0, -2.0, True, float("inf"), float("nan")):
         doc["lengths_unit"] = bad
         with pytest.raises(SpecFileError):
             parse_spec(doc)
@@ -212,6 +212,14 @@ def test_load_spec_error_paths(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SpecFileError):
         load_spec(bad)
+
+
+def test_load_spec_refuses_non_json_numbers(tmp_path):
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(sample_doc()).replace("1.5", literal))
+        with pytest.raises(SpecFileError, match="%s is not a JSON number" % literal):
+            load_spec(path)
 
 
 def test_complex_entries_round_trip(tmp_path):
