@@ -12,15 +12,22 @@ with ``scattering_grid``; ``--workers`` is accepted and ignored.
 
 Each subcommand describes its output once, as a JSON document plus CSV
 header and rows, and ``_emit`` is the single writer that renders the
-requested format to --out or stdout.
+requested format to --out or stdout. Its JSON text is exactly that of
+``json.dumps(doc, indent=2, allow_nan=False)``, built without the
+pure-Python encoder that ``indent`` forces: a float ndarray (each S_tot
+matrix of stot) is rendered from one ``%s`` template per shape and
+depth, filled with the ``float.__repr__`` of its values, and the few
+other values are encoded one by one. Non-finite values that are not
+flagged near a pole exit 3 before anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -135,26 +142,105 @@ def _cell(x) -> str:
     return "%.17g" % x
 
 
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: %s"
+                         % float.__repr__(x))
+    return float.__repr__(x)
+
+
+@lru_cache
+def _array_template(shape, depth):
+    """The indent=2 JSON text of a nested list of the given shape at the
+    given nesting depth, with %s for each value; a zero-length axis
+    gives []."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    item = _array_template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _json_pieces(o, depth, out) -> None:
+    """Append the text of json.dumps(o, indent=2, allow_nan=False), o
+    nested depth levels deep, to the list out, piece by piece. Takes
+    only what the CLI emits: dicts with str keys, lists, tuples, str,
+    int, bool, None, float and float ndarrays."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, np.ndarray) and o.dtype.kind == "f":
+        finite = np.isfinite(o)
+        if not finite.all():
+            _float_text(float(o[~finite][0]))  # raises json's ValueError
+        values = map(float.__repr__, o.ravel().tolist())
+        out.append(_array_template(o.shape, depth) % tuple(values))
+    elif isinstance(o, (list, tuple, dict)) and not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(value, depth + 1, out)
+            sep = "," + pad
+        out.append("\n" + "  " * depth + "}")
+    elif isinstance(o, (list, tuple)):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "[" + pad
+        for item in o:
+            out.append(sep)
+            _json_pieces(item, depth + 1, out)
+            sep = "," + pad
+        out.append("\n" + "  " * depth + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
 def _emit(args, doc, header, rows) -> None:
     """The one output path: the JSON document doc() or the CSV header
     and rows, as --format asks, to --out or stdout. Only the chosen
-    format is built."""
+    format is built, and all of it before anything is written."""
+    pieces = []
     if args.format == "json":
-        text = json.dumps(doc(), indent=2, allow_nan=False) + "\n"
+        _json_pieces(doc(), 0, pieces)
+        pieces.append("\n")
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(map(_cell, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
+        pieces.append(",".join(header) + "\n")
+        pieces.extend(",".join(map(_cell, row)) + "\n" for row in rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-# (k, k, 3) re, im, |.|^2 of each entry; per matrix, to cap output memory
+def _refuse_non_finite(command, grid, near, values) -> None:
+    """NumericalError at the first momentum not flagged near a pole whose
+    row of values holds inf or nan, which JSON cannot carry."""
+    bad = ~near & ~np.isfinite(values.reshape(len(grid), -1)).all(axis=1)
+    if bad.any():
+        raise NumericalError("%s: result at p=%r is not finite"
+                             % (command, grid[np.flatnonzero(bad)[0]]))
+
+
+# (..., k, k, 3) re, im, |.|^2 of each entry; |.|^2 may overflow to inf
 def _entry_parts(mat):
-    return np.stack([mat.real, mat.imag, np.abs(mat) ** 2], axis=-1)
+    with np.errstate(over="ignore"):
+        return np.stack([mat.real, mat.imag, np.abs(mat) ** 2], axis=-1)
 
 
 def _load_system(path):
@@ -169,13 +255,15 @@ def cmd_stot(args) -> int:
     stack, near = scattering_grid(g, locs, idx, grid)
     k = g.n_external
     flags = near.tolist()
+    parts = _entry_parts(stack)
+    _refuse_non_finite("stot", grid, near, parts)
 
     def doc():
         records = [
             {"p": p, "near_pole": flagged,
-             "matrix": None if flagged else part[..., :2].tolist(),
-             "abs2": None if flagged else part[..., 2].tolist()}
-            for p, flagged, part in zip(grid, flags, map(_entry_parts, stack))
+             "matrix": None if flagged else part[..., :2],
+             "abs2": None if flagged else part[..., 2]}
+            for p, flagged, part in zip(grid, flags, parts)
         ]
         return {"command": "stot", "external_modes": k, "results": records}
 
@@ -183,8 +271,8 @@ def cmd_stot(args) -> int:
         "%s_%d_%d" % (name, i + 1, j + 1)
         for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
     ]
-    rows = ([p, flagged, *_entry_parts(mat).ravel().tolist()]
-            for p, flagged, mat in zip(grid, flags, stack))
+    rows = ([p, flagged, *part.ravel().tolist()]
+            for p, flagged, part in zip(grid, flags, parts))
     _emit(args, doc, header, rows)
     return 0
 
@@ -234,6 +322,7 @@ def _defect_report(args, command, grid, near, defects) -> int:
     (nan in CSV) and are left out of max_<name>; pass needs an unflagged
     point and every maximum within --tol. Exit code 0 on pass, else 3.
     """
+    _refuse_non_finite(command, grid, near, np.column_stack(list(defects.values())))
     flags = near.tolist()
     columns = {name: [None if flagged else v for flagged, v in zip(flags, values.tolist())]
                for name, values in defects.items()}

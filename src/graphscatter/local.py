@@ -73,14 +73,17 @@ def _as_square(entries, vertex: int) -> np.ndarray:
     return mat
 
 
-# max-norm defects of S S' = I and S^dagger S = I, per matrix of a stack
+# max-norm defects of S S' = I and S^dagger S = I, per matrix of a stack;
+# products that overflow give an inf or nan defect, which fails every check
 def _involution_defect(s_plus: np.ndarray, s_minus: np.ndarray):
-    return np.max(np.abs(s_plus @ s_minus - np.eye(s_plus.shape[-1])), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(s_plus @ s_minus - np.eye(s_plus.shape[-1])), axis=(-2, -1))
 
 
 def _unitarity_defect(s: np.ndarray):
     s_dagger = np.swapaxes(s, -2, -1).conj()
-    return np.max(np.abs(s_dagger @ s - np.eye(s.shape[-1])), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(s_dagger @ s - np.eye(s.shape[-1])), axis=(-2, -1))
 
 
 def constant_local(vertex: int, entries) -> LocalScattering:

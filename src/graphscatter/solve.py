@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import nan
+from math import inf, nan
 
 import numpy as np
 
 from .assemble import assemble_blocks, assemble_propagation
-from .errors import NearPole, SeriesDiverges, SizeMismatch
+from .errors import NearPole, SeriesDiverges, SizeMismatch, ValidationError
 from .graph import Graph, ModeIndex
 from .local import _involution_defect, _unitarity_defect
 
@@ -88,9 +88,16 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     point when a vertex matrix depends on momentum). Yields per chunk
     (chunk, s_tot, m, core, near): its slice of the grid, the S_tot
     stack, the resolvent stack M, core = M^-1 s21 and the near-pole
-    mask. Rows of flagged points hold meaningless values.
+    mask. Rows of flagged points hold meaningless values. A momentum
+    whose product with the longest edge overflows is refused with a
+    ValidationError.
     """
     momenta = np.asarray(momenta)
+    longest = max(idx.slot_length, default=0.0)
+    reach = np.maximum(np.abs(momenta.real), np.abs(momenta.imag))
+    if float(reach.max(initial=0.0)) * longest == inf:
+        raise ValidationError("momentum p=%r times the longest edge length %r overflows"
+                              % (momenta[reach.argmax()].item(), longest))
     constant = all(loc.is_constant for loc in locals_)
     fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
     e0 = assemble_propagation(g, idx, 0.0).matrix

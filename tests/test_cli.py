@@ -23,6 +23,7 @@ from graphscatter import cli
 from graphscatter.assemble import assemble_blocks, assemble_propagation
 from graphscatter.cli import main
 from graphscatter.solve import NEAR_POLE_RTOL
+from graphscatter.specfile import spec_to_dict
 
 
 def gen(tmp_path, name):
@@ -609,3 +610,93 @@ def test_json_and_csv_outputs_agree(tmp_path):
             assert len(cells) == len(row), argv
             assert all(cell_matches(c, v) for c, v in zip(cells, row)), (argv, line, row)
     assert {("verify", 3), ("equiv", 3)} <= outcomes
+
+
+def encoded(obj):
+    pieces = []
+    cli._json_pieces(obj, 0, pieces)
+    return "".join(pieces)
+
+
+def as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(item) for item in obj]
+    return obj
+
+
+def test_json_writer_matches_json_dumps():
+    rng = np.random.default_rng(3)
+    docs = [
+        [], {}, [[]], {"a": {}}, [[], {}, [[[]]]], {"a": [], "b": [{}]},
+        *(np.zeros(shape) for shape in [(0,), (0, 0), (0, 0, 2), (2, 0), (3, 0, 2)]),
+        *(rng.standard_normal(shape) for shape in [(), (1,), (1, 1, 2), (3, 3, 2), (2, 3, 4)]),
+        {"m": [rng.standard_normal((3, 3, 2)), {"x": rng.standard_normal((2, 2))}]},
+        np.array([-0.0, 5e-324, 1e16, 1e308, 0.1, -1.5e-300]),
+        [-0.0, 5e-324, 1e16, 1e308, 1.0, -2.5, 1 / 3],
+        [0, -7, 2**70, True, False, None, (1, (2.5, None)), ()],
+        "plain", "", "é ü — ✓ 𝄞", "tab\tnew\nline\r \x00 \x1f \x7f quote\" back\\slash /",
+        {"ключ": "значение", " ": ["\ud800", 1]},
+        np.float64(0.25), [np.float64(1e-7)], np.array(2.5), 5, 0.5, None, True,
+        {"command": "stot", "results": [
+            {"p": 0.5, "near_pole": False, "matrix": rng.standard_normal((2, 2, 2)),
+             "abs2": rng.standard_normal((2, 2))},
+            {"p": 1.0, "near_pole": True, "matrix": None, "abs2": None}]},
+    ]
+    docs += [spec_to_dict(cli._generated_fixture(name))
+             for name in ("cube", "dodecahedron", "icosahedron", "octahedron", "tetrahedron",
+                          "fabry_perot", "interval_compact", "line2", "tadpole", "star",
+                          "triangle")]
+    for doc in docs:
+        assert encoded(doc) == json.dumps(as_lists(doc), indent=2, allow_nan=False), doc
+    for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan], {"x": -math.inf},
+                np.array([1.0, math.nan]), np.array([[math.inf]]), [np.array([-math.inf])]):
+        with pytest.raises(ValueError):
+            encoded(bad)
+    for bad in ({1: 2}, {1.5}, 1j, np.arange(3), np.array([1j]), np.int64(1), b"x"):
+        with pytest.raises(TypeError):
+            encoded(bad)
+
+
+def line2_file(tmp_path, edit):
+    doc = spec_to_dict(cli._generated_fixture("line2"))
+    edit(doc)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_finite_results_exit_3(tmp_path, capsys):
+    # S S = I holds, but |S|^2 and S^dagger S overflow
+    def huge(doc):
+        doc["vertex_locals"][0]["matrix"] = [[0.0, 1e200], [1e-200, 0.0]]
+    graph = line2_file(tmp_path, huge)
+    out = tmp_path / "out"
+    for command in ("stot", "verify"):
+        for fmt in ("json", "csv"):
+            for extra in ([], ["--out", str(out)]):
+                argv = [command, "--graph", graph, "--p-list=0.5", "--format", fmt, *extra]
+                assert main(argv) == 3, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and not out.exists(), argv
+                assert captured.err == "error: %s: result at p=0.5 is not finite\n" \
+                    % command, argv
+
+
+def test_momentum_times_length_overflow_exits_2(tmp_path, capsys):
+    def long_edge(doc):
+        doc["internal_edges"][0]["length"] = 3.0
+    graph = line2_file(tmp_path, long_edge)
+    for argv in (["stot", "--graph", graph], ["verify", "--graph", graph],
+                 ["equiv", "--graph", graph, "--graph-b", graph]):
+        for p_list in ("--p-list=1e308", "--p-list=0.5,-1e308"):
+            assert main(argv + [p_list]) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: momentum p="), argv
+            assert "e+308" in err[0] and "longest edge length 3.0" in err[0], argv
+    # a momentum whose product with the edge length is finite still runs
+    assert main(["stot", "--graph", graph, "--p-list=1e307"]) == 0
+    capsys.readouterr()
