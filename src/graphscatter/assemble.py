@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingVertexMatrix, SizeMismatch, ValidationError
-from .graph import Graph, ModeIndex
+from .graph import Graph, ModeIndex, _permutation_matrix
 from .local import LocalScattering
 
 __all__ = [
@@ -128,8 +128,4 @@ def scatter_order_permutation(g: Graph, idx: ModeIndex) -> np.ndarray:
     (external, internal) ordering: P (sum of locals) P^T equals the
     stacked block matrix."""
     positions = _combined_positions(g, idx)
-    total = len(positions)
-    mat = np.zeros((total, total))
-    for local_pos, combined_pos in enumerate(positions):
-        mat[combined_pos, local_pos] = 1.0
-    return mat
+    return _permutation_matrix(positions, len(positions), "slot order")

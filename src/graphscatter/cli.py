@@ -363,7 +363,8 @@ def cmd_equiv(args) -> int:
     grid = _momentum_grid(args)
     sa, near_a = scattering_grid(ga, la, ia, grid)
     sb, near_b = scattering_grid(gb, lb, ib, grid)
-    deviation = np.max(np.abs(sa - sb), axis=(1, 2), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf is refused as nan below
+        deviation = np.max(np.abs(sa - sb), axis=(1, 2), initial=0.0)
     return _defect_report(args, "equiv", grid, near_a | near_b, {"deviation": deviation})
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch, UnknownFixture, UnknownSolid, ValidationError
-from .graph import Graph, GraphSpec, build_graph
+from .graph import Graph, GraphSpec, _permutation_matrix, build_graph
 from .local import LocalScattering, constant_local, kirchhoff_local, momentum_local
 
 __all__ = [
@@ -165,9 +165,7 @@ def commuting_colour_matrices(c: Colouring):
     n = c.vertex_count
     mats = []
     for a in range(c.colour_count):
-        mat = np.zeros((n, n))
-        for v in range(n):
-            mat[v, c.neighbor[v][a]] = 1.0
+        mat = _permutation_matrix([row[a] for row in c.neighbor], n, "colour %d" % a)
         if np.max(np.abs(mat - mat.T)) > 0 or np.max(np.abs(mat @ mat - np.eye(n))) > 0:
             raise ValidationError("colour %d does not define a pairing" % a)
         mat.flags.writeable = False
@@ -274,10 +272,7 @@ def triangle_star_permutation() -> np.ndarray:
     """Permutation matrix P relating the two internal slot orders of
     triangle_and_star_pair: P S22 P^T of the triangle system equals
     the star's internal block."""
-    mat = np.zeros((6, 6))
-    for i, k in enumerate(_PICK):
-        mat[i, k] = 1.0
-    return mat
+    return _permutation_matrix(np.argsort(_PICK), 6, "triangle/star")
 
 
 CANONICAL_FIXTURES = ("line2", "interval_compact", "tadpole", "fabry_perot")

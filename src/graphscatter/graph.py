@@ -42,7 +42,7 @@ class LocalSpec:
     """Declarative description of one vertex matrix in a spec file.
 
     Exactly one of ``family`` or ``matrix`` is set. Known families are
-    "kirchhoff" and "tetra2".
+    the keys of local.FAMILIES.
     """
 
     family: str | None = None

@@ -8,12 +8,13 @@ momentum-dependent ones are checked on a fixed sample of momenta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegreeMismatch, InvalidCycle, NotInvolutive, SizeMismatch
+from .graph import _permutation_matrix
 
 __all__ = [
     "LocalScattering",
@@ -22,6 +23,7 @@ __all__ = [
     "momentum_local",
     "kirchhoff_local",
     "tetra2_local",
+    "FAMILIES",
     "check_rotation_invariance",
 ]
 
@@ -114,15 +116,10 @@ def momentum_local(
     S(p)^dagger S(p) = I holds at every one of them as well. The
     evaluator must be pure.
     """
+    loc = LocalScattering(vertex, size, constant=None, evaluator=evaluator, unitary=False)
     unitary = True
     for p in _SAMPLE_MOMENTA:
-        plus = np.asarray(evaluator(p), dtype=complex)
-        minus = np.asarray(evaluator(-p), dtype=complex)
-        if plus.shape != (size, size) or minus.shape != (size, size):
-            raise SizeMismatch(
-                "evaluator for vertex %d returned shape %r, expected (%d, %d)"
-                % (vertex, plus.shape, size, size)
-            )
+        plus, minus = loc.matrix(p), loc.matrix(-p)
         defect = _involution_defect(plus, minus)
         if not defect < INVOLUTION_TOL:
             raise NotInvolutive(
@@ -131,30 +128,15 @@ def momentum_local(
             )
         if not _unitarity_defect(plus) < INVOLUTION_TOL:
             unitary = False
-    return LocalScattering(
-        vertex=vertex,
-        size=size,
-        constant=None,
-        evaluator=evaluator,
-        unitary=unitary,
-    )
+    return replace(loc, unitary=unitary)
 
 
 def kirchhoff_local(vertex: int, degree: int) -> LocalScattering:
     """Scale-invariant matrix (2/n) J - I at a degree-n vertex."""
     if degree < 1:
         raise SizeMismatch("degree must be at least 1, got %d" % degree)
-    mat = np.full((degree, degree), 2.0 / degree, dtype=complex)
-    mat -= np.eye(degree)
-    mat.flags.writeable = False
-    return LocalScattering(
-        vertex=vertex,
-        size=degree,
-        constant=mat,
-        evaluator=None,
-        unitary=True,
-        family="kirchhoff",
-    )
+    mat = np.full((degree, degree), 2.0 / degree, dtype=complex) - np.eye(degree)
+    return replace(constant_local(vertex, mat), family="kirchhoff")
 
 
 def tetra2_local(vertex: int, degree: int = 4) -> LocalScattering:
@@ -174,15 +156,11 @@ def tetra2_local(vertex: int, degree: int = 4) -> LocalScattering:
         ],
         dtype=complex,
     ) / 6.0
-    mat.flags.writeable = False
-    return LocalScattering(
-        vertex=vertex,
-        size=4,
-        constant=mat,
-        evaluator=None,
-        unitary=True,
-        family="tetra2",
-    )
+    return replace(constant_local(vertex, mat), family="tetra2")
+
+
+# the named families of spec files: name -> builder(vertex, degree)
+FAMILIES = {"kirchhoff": kirchhoff_local, "tetra2": tetra2_local}
 
 
 def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
@@ -210,10 +188,7 @@ def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
     if seen != n:
         raise InvalidCycle("permutation %r is not a single %d-cycle" % (cycle, n))
 
-    rot = np.zeros((s.size, s.size))
-    rot[0, 0] = 1.0
-    for old, new in enumerate(cycle):
-        rot[1 + new, 1 + old] = 1.0
+    rot = _permutation_matrix([0, *(1 + new for new in cycle)], s.size, "rotation")
 
     if s.is_constant:
         mats = [s.constant]

@@ -83,6 +83,16 @@ def _inverse(m: np.ndarray):
     return minv, singular
 
 
+def _refuse_phase_overflow(idx: ModeIndex, momenta: np.ndarray) -> None:
+    """ValidationError when some momentum's product with the longest edge
+    length overflows, so that its phase factor exp(-i p d) is undefined."""
+    longest = max(idx.slot_length, default=0.0)
+    reach = np.maximum(np.abs(momenta.real), np.abs(momenta.imag))
+    if float(reach.max(initial=0.0)) * longest == inf:
+        raise ValidationError("momentum p=%r times the longest edge length %r overflows"
+                              % (momenta[reach.argmax()].item(), longest))
+
+
 def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     """Solve the grid chunk by chunk, assembling the blocks once (per
     point when a vertex matrix depends on momentum). Yields per chunk
@@ -93,11 +103,7 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     ValidationError.
     """
     momenta = np.asarray(momenta)
-    longest = max(idx.slot_length, default=0.0)
-    reach = np.maximum(np.abs(momenta.real), np.abs(momenta.imag))
-    if float(reach.max(initial=0.0)) * longest == inf:
-        raise ValidationError("momentum p=%r times the longest edge length %r overflows"
-                              % (momenta[reach.argmax()].item(), longest))
+    _refuse_phase_overflow(idx, momenta)
     constant = all(loc.is_constant for loc in locals_)
     fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
     e0 = assemble_propagation(g, idx, 0.0).matrix
@@ -118,8 +124,11 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
         for k in np.flatnonzero(~near & ~(bound < 0.5 / NEAR_POLE_RTOL)):
             sigma = np.linalg.svd(m[k], compute_uv=False)
             near[k] = sigma[-1] <= NEAR_POLE_RTOL * sigma[0]
-        core = minv @ s21
-        yield slice(start, start + len(p)), s11 + s12 @ core, m, core, near
+        # an overflowing S_tot is left inf or nan for the caller to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            core = minv @ s21
+            s_tot = s11 + s12 @ core
+        yield slice(start, start + len(p)), s_tot, m, core, near
 
 
 def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MissingVertexMatrix, SpecFileError, ValidationError
 from .graph import Graph, GraphSpec, LocalSpec
-from .local import LocalScattering, constant_local, kirchhoff_local, tetra2_local
+from .local import FAMILIES, LocalScattering, constant_local
 
 __all__ = [
     "parse_spec",
@@ -151,7 +151,7 @@ def parse_spec(data) -> GraphSpec:
                 if "matrix" not in rec:
                     raise SpecFileError("family 'matrix' requires a matrix field")
                 entries[v] = LocalSpec(matrix=_parse_matrix(rec["matrix"]))
-            elif family in ("kirchhoff", "tetra2"):
+            elif family in FAMILIES:
                 if "matrix" in rec:
                     raise SpecFileError("family %r does not take a matrix field" % family)
                 entries[v] = LocalSpec(family=family)
@@ -238,10 +238,9 @@ def locals_from_spec(spec: GraphSpec, g: Graph) -> list[LocalScattering]:
         entry = None if spec.vertex_locals is None else spec.vertex_locals[v]
         if spec.vertex_locals is not None and entry is None:
             raise MissingVertexMatrix("vertex_locals has no entry for vertex %d" % (v + 1))
-        if entry is None or entry.family == "kirchhoff":
-            out.append(kirchhoff_local(v, g.degree(v)))
-        elif entry.family == "tetra2":
-            out.append(tetra2_local(v, g.degree(v)))
+        family = "kirchhoff" if entry is None else entry.family
+        if family in FAMILIES:
+            out.append(FAMILIES[family](v, g.degree(v)))
         else:
             out.append(constant_local(v, np.array(entry.matrix, dtype=complex)))
     return out
@@ -260,7 +259,7 @@ def graph_to_spec(g: Graph, locals_=None, unit: float | None = None) -> GraphSpe
                 raise ValidationError("graph_to_spec expects LocalScattering objects")
             if entries[loc.vertex] is not None:
                 raise ValidationError("vertex %d has two local matrices" % loc.vertex)
-            if loc.family in ("kirchhoff", "tetra2"):
+            if loc.family in FAMILIES:
                 entries[loc.vertex] = LocalSpec(family=loc.family)
             elif loc.is_constant:
                 entries[loc.vertex] = LocalSpec(

@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import MAX_GRID_POINTS
+from .solve import MAX_GRID_POINTS, _refuse_phase_overflow
 
 __all__ = [
     "SecularPolynomial",
@@ -248,16 +248,18 @@ def _removable(bond: BondSystem, v_g, w_g, noise: float) -> bool:
     """Whether the residue of S_tot at one eigenvalue group, the norm of
     s12 P_g E(0) s21 for the spectral projector
     P_g = V_g (W_g^H V_g)^-1 W_g^H (first-bond rows, last-bond columns),
-    is at most noise ||(W_g^H V_g)^-1||. A group whose W_g^H V_g is not
-    square (it got more or fewer left than right eigenvectors) or is
-    exactly singular is not resolved, and never called removable."""
+    is at most noise s ||(W_g^H V_g)^-1|| with s = bond.vertex_norm. The
+    residue is divided by s instead, so that huge vertex entries
+    overflow no intermediate. A group whose W_g^H V_g is not square (it
+    got more or fewer left than right eigenvectors) or is exactly
+    singular is not resolved, and never called removable."""
     try:
         inverse = np.linalg.inv(w_g.conj().T @ v_g)
     except np.linalg.LinAlgError:
         return False
     coupling = inverse @ w_g[bond.last].conj().T @ bond.e0_s21
     residue = np.linalg.norm(bond.s12 @ v_g[bond.first] @ coupling, 2)
-    return bool(residue <= noise * np.linalg.norm(inverse, 2))
+    return bool(residue / bond.vertex_norm <= noise * np.linalg.norm(inverse, 2))
 
 
 def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list[PoleRecord]:
@@ -276,7 +278,7 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
         raise DegenerateConstantPolynomial("graph has no internal edges; determinant is constant")
     bond = poly.bond
     lam, right, lefts, groups = _eigen_groups(bond.u)
-    noise = np.finfo(float).eps * np.linalg.norm(bond.u, 2) * bond.vertex_norm ** 2
+    noise = np.finfo(float).eps * np.linalg.norm(bond.u, 2) * bond.vertex_norm
 
     records = []
     for members, left in zip(groups, lefts):
@@ -400,6 +402,7 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     tol = 4.0 * len(lengths) * np.finfo(float).eps  # see _phase_sampler
     # the grid overhangs both ends so that no root sits on its first point
     lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
+    _refuse_phase_overflow(idx, np.array([lo_end, hi_end]))
     steps = (hi_end - lo_end) * max(idx.slot_length) / (0.5 * math.pi)
     if not steps < MAX_GRID_POINTS:
         raise MemoryError("[%r, %r] needs %.3g momenta, beyond numpy's array size limit"

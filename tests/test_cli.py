@@ -661,18 +661,20 @@ def test_json_writer_matches_json_dumps():
             encoded(bad)
 
 
-def line2_file(tmp_path, edit):
+def line2_file(tmp_path, edit, name="graph.json"):
     doc = spec_to_dict(cli._generated_fixture("line2"))
     edit(doc)
-    path = tmp_path / "graph.json"
+    path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
 
 
-def test_non_finite_results_exit_3(tmp_path, capsys):
+def huge(doc):
     # S S = I holds, but |S|^2 and S^dagger S overflow
-    def huge(doc):
-        doc["vertex_locals"][0]["matrix"] = [[0.0, 1e200], [1e-200, 0.0]]
+    doc["vertex_locals"][0]["matrix"] = [[0.0, 1e200], [1e-200, 0.0]]
+
+
+def test_non_finite_results_exit_3(tmp_path, capsys):
     graph = line2_file(tmp_path, huge)
     out = tmp_path / "out"
     for command in ("stot", "verify"):
@@ -690,13 +692,58 @@ def test_momentum_times_length_overflow_exits_2(tmp_path, capsys):
     def long_edge(doc):
         doc["internal_edges"][0]["length"] = 3.0
     graph = line2_file(tmp_path, long_edge)
-    for argv in (["stot", "--graph", graph], ["verify", "--graph", graph],
-                 ["equiv", "--graph", graph, "--graph-b", graph]):
-        for p_list in ("--p-list=1e308", "--p-list=0.5,-1e308"):
-            assert main(argv + [p_list]) == 2, argv
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: momentum p="), argv
-            assert "e+308" in err[0] and "longest edge length 3.0" in err[0], argv
+    box = spec_to_dict(cli._generated_fixture("interval_compact"))
+    box["internal_edges"][0]["length"] = 3.0
+    compact = tmp_path / "box.json"
+    compact.write_text(json.dumps(box))
+    cases = [argv + [p_list]
+             for argv in (["stot", "--graph", graph], ["verify", "--graph", graph],
+                          ["equiv", "--graph", graph, "--graph-b", graph])
+             for p_list in ("--p-list=1e308", "--p-list=0.5,-1e308")]
+    cases.append(["spectrum", "--graph", str(compact), "--p-min", "1", "--p-max", "1e308"])
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: momentum p="), argv
+        assert "e+308" in err[0] and "longest edge length 3.0" in err[0], argv
     # a momentum whose product with the edge length is finite still runs
     assert main(["stot", "--graph", graph, "--p-list=1e307"]) == 0
     capsys.readouterr()
+
+
+def test_overflowing_result_prints_one_line(tmp_path, capsys):
+    # S_tot itself overflows when the huge entries of both vertices meet
+    def huger(doc):
+        huge(doc)
+        doc["vertex_locals"][1]["matrix"] = [[0.0, 1e-200], [1e200, 0.0]]
+    graph = line2_file(tmp_path, huger)
+    other = line2_file(tmp_path, huge, "huge.json")
+    for argv in (["stot", "--graph", graph], ["equiv", "--graph", other, "--graph-b", graph],
+                 ["equiv", "--graph", graph, "--graph-b", graph]):
+        for p in (0.0, 0.5):
+            assert main(argv + ["--p-list=%r" % p]) == 3, argv
+            assert capsys.readouterr().err == "error: %s: result at p=%r is not finite\n" \
+                % (argv[0], p), argv
+
+
+def test_poles_on_huge_vertex_entries(tmp_path, capsys):
+    assert main(["poles", "--graph", line2_file(tmp_path, huge), "--unit", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["poles"] == []
+    # a lead, a unit loop and a unit edge at vertex 1; the huge entries
+    # couple the lead and the edge, the loop swaps its two halves
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({
+        "vertices": 2,
+        "internal_edges": [{"u": 1, "v": 1, "length": 1.0}, {"u": 1, "v": 2, "length": 1.0}],
+        "external_edges": [{"vertex": 1}, {"vertex": 2}],
+        "vertex_locals": [
+            {"vertex": 1, "family": "matrix",
+             "matrix": [[0, 0, 0, 1e200], [0, 0, 1, 0], [0, 1, 0, 0], [1e-200, 0, 0, 0]]},
+            {"vertex": 2, "family": "matrix", "matrix": [[0, 1], [1, 0]]}]}))
+    argv = ["poles", "--graph", str(path), "--unit", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["poles"] == []
+    assert main(argv + ["--include-removable"]) == 0
+    (pole,) = json.loads(capsys.readouterr().out)["poles"]
+    assert pole["zeta"] == [1.0, 0.0]
+    assert pole["multiplicity"] == 2 and pole["removable"] is True

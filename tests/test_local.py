@@ -12,6 +12,9 @@ from graphscatter import (
     momentum_local,
     tetra2_local,
 )
+from graphscatter.generators import platonic
+from graphscatter.local import FAMILIES
+from graphscatter.specfile import graph_to_spec, locals_from_spec, parse_spec, spec_to_dict
 from _helpers import random_involutive
 
 
@@ -57,6 +60,10 @@ def test_kirchhoff_matrix():
     assert np.array_equal(swap.real, np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SizeMismatch):
         kirchhoff_local(0, 0)
+    for d in range(1, 7):
+        mat = kirchhoff_local(3, d).constant
+        assert np.array_equal(mat, np.full((d, d), 2.0 / d) - np.eye(d)), d
+        assert not mat.flags.writeable
 
 
 def test_tetra2_matrix():
@@ -68,6 +75,23 @@ def test_tetra2_matrix():
     assert loc.unitary and loc.family == "tetra2"
     with pytest.raises(DegreeMismatch):
         tetra2_local(0, 3)
+    # bit-exact: the dodecahedron's removable zeta = +-1 depend on it.
+    # numpy's complex division puts 5/6 one ulp below the float 5.0 / 6.0
+    exact = want.astype(complex)
+    exact[[1, 2, 3], [1, 2, 3]] = 0.8333333333333333
+    assert np.array_equal(loc.constant, exact)
+    assert not loc.constant.flags.writeable
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_families_round_trip_through_spec_files(family):
+    g, _ = platonic("tetrahedron")  # every vertex has degree 4
+    locs = [FAMILIES[family](v, 4) for v in range(g.vertex_count)]
+    data = spec_to_dict(graph_to_spec(g, locs))
+    assert {rec["family"] for rec in data["vertex_locals"]} == {family}
+    for loc, back in zip(locs, locals_from_spec(parse_spec(data), g)):
+        assert back.family == family and back.vertex == loc.vertex
+        assert np.array_equal(back.constant, loc.constant)
 
 
 def test_momentum_local_checks_involution_on_samples():
