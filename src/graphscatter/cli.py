@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -226,6 +227,7 @@ def _emit(args, doc, header, rows) -> None:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
 
 
 def _refuse_non_finite(command, grid, near, values) -> None:
@@ -424,6 +426,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("error: out of memory (%s)" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout is gone (`| head`): nothing to report, and
+        # stdout goes to devnull so that the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

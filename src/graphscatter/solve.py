@@ -67,20 +67,37 @@ class TotalSMatrix:
         return (self.sigma_min, self.sigma_max)
 
 
-def _inverse(m: np.ndarray):
-    """Inverse of the stack m and the mask of its exactly singular matrices,
-    which fail the batched LU: the stack is then inverted one by one."""
+def _inverse(m: np.ndarray, *rhs: np.ndarray):
+    """M^-1 for each matrix M of the stack m, or M^-1 b with the matching
+    b of the stack rhs, and the mask of the exactly singular matrices.
+    These fail the batched LU: the stack is then done one by one and
+    their rows are NaN."""
+    op = np.linalg.solve if rhs else np.linalg.inv
     singular = np.zeros(len(m), dtype=bool)
     try:
-        return np.linalg.inv(m), singular
+        return op(m, *rhs), singular
     except np.linalg.LinAlgError:
-        minv = np.full_like(m, nan)
-    for k, mk in enumerate(m):
+        out = np.full_like((m, *rhs)[-1], nan)
+    for k in range(len(m)):
         try:
-            minv[k] = np.linalg.inv(mk)
+            out[k] = op(m[k], *(b[k] for b in rhs))
         except np.linalg.LinAlgError:
             singular[k] = True
-    return minv, singular
+    return out, singular
+
+
+def _chunk_length(n: int) -> int:
+    """Matrices of size n per chunk of a stack, so that a chunk holds
+    about _CHUNK_ELEMENTS entries."""
+    return max(1, _CHUNK_ELEMENTS // max(1, n ** 2))
+
+
+def _resolvent_stack(e0: np.ndarray, lengths: np.ndarray, s22: np.ndarray, p: np.ndarray):
+    """M(p) = E(0) D(p) - s22 for every momentum of the array p, real or
+    complex; D(p) = diag(exp(-i p d_s)) scales column s of E(0). s22 is
+    one matrix or a stack as long as p. Callers first refuse momenta
+    whose phase overflows (_refuse_phase_overflow)."""
+    return e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
 
 
 def _refuse_phase_overflow(idx: ModeIndex, momenta: np.ndarray) -> None:
@@ -108,14 +125,13 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
     e0 = assemble_propagation(g, idx, 0.0).matrix
     lengths = np.asarray(idx.slot_length)
-    step = max(1, _CHUNK_ELEMENTS // max(1, idx.n_internal_slots ** 2))
+    step = _chunk_length(idx.n_internal_slots)
     for start in range(0, len(momenta), step):
         p = momenta[start:start + step]
         blocks = fixed or [assemble_blocks(g, locals_, idx, q) for q in p.tolist()]
         s11, s12, s21, s22 = (np.stack([getattr(b, f) for b in blocks])
                               for f in ("ext_ext", "ext_int", "int_ext", "int_int"))
-        # E(p) = E(0) D(p) scales column s of E(0) by exp(-i p d_s)
-        m = e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
+        m = _resolvent_stack(e0, lengths, s22, p)
         minv, near = _inverse(m)
         # kappa_2 <= |M|_F |M^-1|_F, squares summed on float views with no
         # stack-sized temporaries; the factor 2 covers the inverse's rounding

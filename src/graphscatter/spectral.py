@@ -9,16 +9,22 @@ Smilansky, Ann. Phys. 274, 76, 1999): every directed internal slot of
 length m * unit owns m bonds, each bond hands its amplitude on to the
 next one, and the last bond of slot s applies row partner(s) of s22.
 Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U). secular_polynomial
-builds U once and keeps it with the lead couplings; one
-eigendecomposition of U then gives the polynomial, the poles with their
-multiplicities and the residues that tell genuine poles from
-removable determinant zeros.
+builds U once and keeps it, with its one eigendecomposition, beside
+the lead couplings; that eigendecomposition gives the polynomial, the
+poles with their multiplicities and the residues that tell genuine
+poles from removable determinant zeros.
 
 Compact spectra need no commensurability: for constant unitary vertex
 matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
 the eigenmomenta are the momenta where an eigenphase crosses 0 mod
 2 pi. The sum of the principal eigenphases counts these crossings
 exactly (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013).
+The counts cut the range into windows, and in each window Beyn's
+contour integral of M(p)^-1, M(p) = E(0) D(p) - s22 (W.-J. Beyn,
+Linear Algebra Appl. 436, 3839, 2012) over trapezoid nodes, which
+converge exponentially (Trefethen & Weideman, SIAM Rev. 56, 385,
+2014), places the eigenmomenta; two refinement steps polish them, and
+the window's count certifies that none is missing.
 """
 
 from __future__ import annotations
@@ -37,11 +43,18 @@ from .errors import (
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
+    NumericalError,
     ReductionNotApplicable,
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import MAX_GRID_POINTS, _refuse_phase_overflow
+from .solve import (
+    MAX_GRID_POINTS,
+    _chunk_length,
+    _inverse,
+    _refuse_phase_overflow,
+    _resolvent_stack,
+)
 
 __all__ = [
     "SecularPolynomial",
@@ -58,16 +71,37 @@ FIT_RTOL = 1e-9
 # roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
+# trapezoid nodes on the contour around a window of a compact spectrum,
+# and its ellipse's height over half-width: a flat ellipse keeps the
+# eigenmomenta beyond a window's ends out of its moments
+CONTOUR_NODES = 64
+CONTOUR_RATIO = 0.1
+# probe columns beyond a window's count, for eigenmomenta just outside it
+PROBE_EXTRA = 6
+# singular values of a window's zeroth moment above this share of the
+# largest belong to eigenmomenta, the rest to quadrature error
+RANK_RTOL = 1e-6
+# a refined eigenmomentum whose last step exceeds this share of
+# max(1, |p|) has not converged
+REFINE_RTOL = 1e-9
+# a window ends only where every eigenphase is this far from 0, far
+# above their error of about n eps (_phase_sampler): no root sits on a
+# cut, the counts on either side are exact, and a root on a range end
+# (1e-8 inside the grid) moves that end outward
+CUT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
 class BondSystem:
-    """What find_poles reads of one system: the unit bond matrix u, the
+    """What find_poles reads of one system: the unit bond matrix u with
+    its eigenvalues and right eigenvectors from one np.linalg.eig, the
     first and last bond index of every slot, the lead blocks s12 and
     E(0) s21 (s21 with the two slots of every edge swapped) and the
     largest 2-norm of a vertex matrix."""
 
     u: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     first: np.ndarray
     last: np.ndarray
     s12: np.ndarray
@@ -181,7 +215,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     bond = None
     if degree > 0:
         u, first, last = _bond_matrix(idx, powers, blocks.int_int)
-        eigs = np.linalg.eigvals(u)
+        eigs, right = np.linalg.eig(u)
         n_nodes = degree + 1
         nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
         values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
@@ -200,7 +234,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
                     "polynomial residual %.3e at held-out point" % abs(fitted - direct)
                 )
         vertex_norm = max(np.linalg.norm(loc.constant, 2) for loc in resolved)
-        bond = BondSystem(u, first, last, blocks.ext_int,
+        bond = BondSystem(u, eigs, right, first, last, blocks.ext_int,
                           blocks.int_ext[list(idx.partner)], float(vertex_norm))
 
     coeffs.flags.writeable = False
@@ -208,8 +242,10 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
                              slot_powers=powers, bond=bond)
 
 
-def _eigen_groups(u: np.ndarray):
-    """Eigenvalues of u grouped into distinct roots.
+def _eigen_groups(u: np.ndarray, eigen=None):
+    """Eigenvalues of u grouped into distinct roots; eigen is the
+    (eigenvalues, right eigenvectors) pair of np.linalg.eig(u) when the
+    caller already has it.
 
     Each eigenvalue has the first-order error bound
     eps ||u|| / |w_k^H v_k| (unit left and right eigenvectors). Two
@@ -223,7 +259,7 @@ def _eigen_groups(u: np.ndarray):
     eigenvalue. Returns the eigenvalues, the right eigenvectors, the
     left eigenvectors of each group and each group's index array.
     """
-    lam, right = np.linalg.eig(u)
+    lam, right = np.linalg.eig(u) if eigen is None else eigen
     mu, left = np.linalg.eig(u.T)
     overlap = np.max(np.abs(left.T @ right), axis=0)
     with np.errstate(divide="ignore"):
@@ -277,7 +313,7 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
     if poly.degree_bound == 0:
         raise DegenerateConstantPolynomial("graph has no internal edges; determinant is constant")
     bond = poly.bond
-    lam, right, lefts, groups = _eigen_groups(bond.u)
+    lam, right, lefts, groups = _eigen_groups(bond.u, (bond.eigenvalues, bond.eigenvectors))
     noise = np.finfo(float).eps * np.linalg.norm(bond.u, 2) * bond.vertex_norm
 
     records = []
@@ -339,33 +375,149 @@ def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
     return sample
 
 
-def _polish(sample, lo, hi, k: int, tol: float) -> float:
-    """Momentum where the k eigenphases crossing 0 in (lo, hi] do so.
+def _crossings(lo, hi) -> int:
+    """Eigenmomenta, with multiplicity, between two phase samples."""
+    return round((hi[1] - lo[1]) / TWO_PI)
 
-    Illinois regula falsi between the phase just below 0 (max - 2 pi)
-    at the left end and the one just above 0 (min) at the right end,
-    until a new end has its phase within tol of 0. The crossing count
-    decides which end a trial point replaces, so the bracket always
-    holds the root; a point that splits the k crossings is the answer.
+
+def _cut(sample, p: float, step: float):
+    """The phase sample at the first of p, p + step, p + 2 step and
+    p + 3 step where every eigenphase is at least CUT_GAP from 0, or at
+    the last of them."""
+    for k in range(4):
+        s = sample(p + k * step)
+        if min(s[2], TWO_PI - s[3]) >= CUT_GAP:
+            break
+    return s
+
+
+def _windows(grid, cap: int):
+    """Consecutive phase samples of the grid cut into windows of at most
+    cap eigenmomenta, or of one grid step when that step holds more."""
+    windows, start = [], 0
+    for i in range(2, len(grid)):
+        if _crossings(grid[start], grid[i]) > cap:
+            windows.append((grid[start], grid[i - 1]))
+            start = i - 1
+    windows.append((grid[start], grid[-1]))
+    return windows
+
+
+def _resolvents(system, p: np.ndarray) -> np.ndarray:
+    """M(p) = E(0) D(p) - s22 at the momenta p of a compact system
+    (idx, E(0), s22), refusing momenta whose phase overflows."""
+    idx, e0, s22 = system
+    _refuse_phase_overflow(idx, p)
+    return _resolvent_stack(e0, np.asarray(idx.slot_length), s22, p)
+
+
+def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray):
+    """Beyn's estimates (momenta, null vectors) of the eigenmomenta in
+    the ellipse through a and b, which holds count of them.
+
+    The ellipse z = c + r w, w = cos t + i CONTOUR_RATIO sin t, carries
+    CONTOUR_NODES trapezoid nodes t_j = 2 pi (j + 1/2) / N, none of them
+    real, so M(z_j) is never singular. One stacked solve per chunk of
+    nodes gives X_j = M(z_j)^-1 V for the first count + PROBE_EXTRA
+    columns V of the probe, and the moments A_k = sum_j w_j^k w'(t_j) X_j
+    are (1 / 2 pi i) oint w^k M^-1 V dz up to a factor that cancels.
+    With A_0 = U S W^H truncated to its rank, the number of singular
+    values above RANK_RTOL of the largest but at least count, the
+    eigenvalues of U^H A_1 W S^-1 are the w of the eigenmomenta and U
+    maps its eigenvectors to their null vectors. The rank also counts
+    eigenmomenta just outside the ellipse, as a root of high
+    multiplicity next to an end; when it fills the probe, the integral
+    is redone with all n columns. Estimates more than r beyond the
+    window are dropped.
     """
-    a, fa, b, fb = lo, lo[3] - TWO_PI, hi, hi[2]
-    side, done = 0, False
-    for _ in range(100):  # Illinois converges superlinearly; a safety cap
-        x = (a[0] * fb - b[0] * fa) / (fb - fa) if fb > fa else a[0]
-        if done or not a[0] < x < b[0]:
+    n = len(probe)
+    t = TWO_PI * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
+    w = np.cos(t) + 1j * CONTOUR_RATIO * np.sin(t)
+    weights = np.stack([np.ones_like(w), w]) * (-np.sin(t) + 1j * CONTOUR_RATIO * np.cos(t))
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    z = c + r * w
+    step = _chunk_length(n)
+    for width in (min(n, count + PROBE_EXTRA), n):
+        moments = np.zeros((2, n, width), dtype=complex)
+        for start in range(0, CONTOUR_NODES, step):
+            part = slice(start, start + step)
+            m = _resolvents(system, z[part])
+            x = np.linalg.solve(m, np.broadcast_to(probe[:, :width], (len(m), n, width)))
+            moments += np.tensordot(weights[:, part], x, axes=1)
+        u, sigma, vh = np.linalg.svd(moments[0], full_matrices=False)
+        rank = max(count, int(np.sum(sigma > RANK_RTOL * sigma[0])))
+        if rank < width or width == n:
             break
-        s = sample(x)
-        count = round((s[1] - a[1]) / TWO_PI)
-        if 0 < count < k:
-            break
-        # Illinois: halve the value kept at an end that survives twice
-        if count == 0:
-            a, fa, fb = s, s[3] - TWO_PI, fb * (0.5 if side < 0 else 1.0)
-            side, done = -1, -fa <= tol
-        else:
-            b, fb, fa = s, s[2], fa * (0.5 if side > 0 else 1.0)
-            side, done = 1, fb <= tol
-    return min(max(x, a[0]), b[0])
+    u = u[:, :rank]
+    pencil = u.conj().T @ moments[1] @ vh[:rank].conj().T / sigma[:rank]
+    mu, vectors = np.linalg.eig(pencil)
+    near = np.abs(mu.real) <= 2.0
+    return c + r * mu.real[near], (u @ vectors[:, near]).T
+
+
+def _refine(system, p: np.ndarray, x: np.ndarray):
+    """Two inverse-iteration and Rayleigh-functional steps on every
+    estimate at once, chunk by chunk.
+
+    With M'(p) = -i E(0) D(p) diag(L), a step solves M(p) y = M'(p) x,
+    normalises y, and moves p by the Newton step of w^H M(p) y for the
+    fixed w = E(0) D(p) y, the left null vector when y is the right one;
+    at real p its derivative is -i y^H diag(L) y. Returns the momenta
+    and the size of each one's last step. An exactly singular M(p)
+    leaves p and x as they are, with a last step of 0.
+    """
+    idx, _, s22 = system
+    lengths = np.asarray(idx.slot_length)
+    p, x, moved = p.copy(), x.copy(), np.zeros(len(p))
+    step = _chunk_length(len(s22))
+    for start in range(0, len(p), step):
+        part = slice(start, start + step)
+        for _ in range(2):
+            m = _resolvents(system, p[part])
+            e0_d = m + s22
+            y, singular = _inverse(m, -1j * e0_d @ (lengths * x[part])[..., None])
+            y = np.where(singular[:, None], x[part], y[..., 0])
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            my = (m @ y[..., None])[..., 0]
+            left = (e0_d @ y[..., None])[..., 0]
+            shift = np.sum(left.conj() * my, axis=1).imag / (np.abs(y) ** 2 @ lengths)
+            shift[singular] = 0.0
+            p[part] += shift
+            x[part], moved[part] = y, np.abs(shift)
+    return p, moved
+
+
+def _certified(sample, p: np.ndarray, moved: np.ndarray, a: float, b: float, count: int):
+    """The refined momenta p in (a, b] as (momentum, multiplicity)
+    groups, or None unless they are converged and account for all count
+    eigenmomenta there.
+
+    Momenta within ROOT_DEDUP_TOL of each other form one group, whose
+    multiplicity is certified by the count between cuts
+    ROOT_DEDUP_TOL / 2 outside it. Every group is then a distinct root
+    with at most its true multiplicity, so groups that add up to the
+    count miss none.
+    """
+    inside = (p > a) & (p <= b) & (moved <= REFINE_RTOL * np.maximum(1.0, np.abs(p)))
+    found = np.sort(p[inside])
+    if len(found) != count:
+        return None
+    groups = np.split(found, np.flatnonzero(np.diff(found) > ROOT_DEDUP_TOL) + 1)
+    for group in groups:
+        if len(group) > 1 and _crossings(sample(group[0] - 0.5 * ROOT_DEDUP_TOL),
+                                         sample(group[-1] + 0.5 * ROOT_DEDUP_TOL)) != len(group):
+            return None
+    return [(float(np.mean(group)), len(group)) for group in groups]
+
+
+def _split_point(p: np.ndarray, a: float, b: float) -> float:
+    """Where to cut (a, b) in two: the middle nearest its centre of a gap
+    wider than ROOT_DEDUP_TOL between the momenta of p in it and its
+    ends, so clear of the eigenmomenta that p approximates."""
+    ends = np.concatenate([[a], np.sort(p[(p > a) & (p < b)]), [b]])
+    middles = 0.5 * (ends[:-1] + ends[1:])[np.diff(ends) > ROOT_DEDUP_TOL]
+    c = 0.5 * (a + b)
+    return float(middles[np.argmin(np.abs(middles - c))]) if len(middles) else c
 
 
 def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
@@ -377,9 +529,14 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     eigenphases rise with p and each crossing of 0 lowers the sum of
     the principal phases by 2 pi. The eigenmomenta in (a, b], with
     multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
-    + sum phi(a)) / 2 pi. A grid on which no phase moves more than
-    pi / 2 per step is bisected until a bracket holds one crossing or
-    a cluster narrower than ROOT_DEDUP_TOL, which _polish refines.
+    + sum phi(a)) / 2 pi, counted on a grid on which no phase moves
+    more than pi / 2 per step. The grid is cut into windows of at most
+    n / 2 eigenmomenta (n slots); Beyn's contour integral around each
+    (_contour_estimates) and two refinement steps (_refine) place them,
+    and a window is kept only when its refined momenta match its count
+    (_certified). Otherwise it is split and each half retried; a window
+    no wider than ROOT_DEDUP_TOL that still fails raises a
+    NumericalError.
     """
     if g.n_external > 0:
         raise NotCompact("spectrum is defined for graphs without external edges; found %d"
@@ -396,32 +553,43 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     if g.n_internal == 0:
         return []
 
-    bond = blocks.int_int[list(idx.partner)]
-    lengths = np.asarray(idx.slot_length)
-    sample = _phase_sampler(bond, lengths)
-    tol = 4.0 * len(lengths) * np.finfo(float).eps  # see _phase_sampler
-    # the grid overhangs both ends so that no root sits on its first point
+    s22 = blocks.int_int
+    n = len(s22)
+    sample = _phase_sampler(s22[list(idx.partner)], np.asarray(idx.slot_length))
+    # the grid overhangs both ends so that a root on an end is inside it,
+    # and a point with a root on it moves right by a quarter step (the
+    # first one left, the last one right)
     lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
     _refuse_phase_overflow(idx, np.array([lo_end, hi_end]))
     steps = (hi_end - lo_end) * max(idx.slot_length) / (0.5 * math.pi)
     if not steps < MAX_GRID_POINTS:
         raise MemoryError("[%r, %r] needs %.3g momenta, beyond numpy's array size limit"
                           % (p_min, p_max, steps))
-    grid = [sample(p) for p in np.linspace(lo_end, hi_end, math.ceil(steps) + 1)]
-    brackets = list(zip(grid[:-1], grid[1:]))[::-1]
+    points = np.linspace(lo_end, hi_end, math.ceil(steps) + 1)
+    quarter = 0.25 * (points[1] - points[0])
+    grid = [_cut(sample, p, -quarter if i == 0 else quarter) for i, p in enumerate(points)]
+    system = (idx, assemble_propagation(g, idx, 0.0).matrix, s22)
+    probe = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
+    windows = _windows(grid, max(1, n // 2))[::-1]
     roots = []
-    while brackets:
-        lo, hi = brackets.pop()
-        k = round((hi[1] - lo[1]) / TWO_PI)
-        if k > 1 and hi[0] - lo[0] > ROOT_DEDUP_TOL:
-            mid = sample(0.5 * (lo[0] + hi[0]))
-            brackets += [(mid, hi), (lo, mid)]
-        elif k > 0:
-            p = _polish(sample, lo, hi, k, tol)
-            # roots up to 1e-12 outside the interval move onto its ends
-            if p_min - 1e-12 <= p <= p_max + 1e-12:
-                roots.append([float(min(max(p, p_min), p_max)), k])
-    roots.sort()
+    while windows:
+        lo, hi = windows.pop()
+        count = _crossings(lo, hi)
+        if count == 0:
+            continue
+        p, moved = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
+        found = _certified(sample, p, moved, lo[0], hi[0], count)
+        if found is not None:
+            roots += found
+            continue
+        mid = _cut(sample, _split_point(p, lo[0], hi[0]), (hi[0] - lo[0]) / 16)
+        if not (hi[0] - lo[0] > ROOT_DEDUP_TOL and lo[0] < mid[0] < hi[0]):
+            raise NumericalError("spectrum: could not place the %d eigenmomenta counted in "
+                                 "[%r, %r]" % (count, float(lo[0]), float(hi[0])))
+        windows += [(mid, hi), (lo, mid)]
+    # roots up to 1e-12 outside the interval move onto its ends
+    roots = [[float(min(max(p, p_min), p_max)), k] for p, k in sorted(roots)
+             if p_min - 1e-12 <= p <= p_max + 1e-12]
     for i in range(len(roots) - 1, 0, -1):
         if roots[i][0] - roots[i - 1][0] <= ROOT_DEDUP_TOL:
             roots[i - 1][1] += roots.pop(i)[1]
@@ -433,9 +601,12 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
     graph without external edges, as sorted distinct floats.
 
     The vertex matrices must be constant and unitary, or a
-    ValidationError is raised. The roots are counted and polished on
-    the eigenphases of the unitary U(p) = E(-p) s22 (_eigenmomenta);
-    roots within ROOT_DEDUP_TOL of each other are reported once.
+    ValidationError is raised. The roots are counted exactly on the
+    eigenphases of the unitary U(p) = E(-p) s22 and placed by a contour
+    integral of M(p)^-1 = (E(0) D(p) - s22)^-1 over windows of the
+    range (_eigenmomenta); roots within ROOT_DEDUP_TOL of each other are
+    reported once. A window whose roots cannot be placed to match its
+    count raises a NumericalError.
     """
     return [p for p, _ in _eigenmomenta(g, locals_, idx, p_min, p_max)]
 

@@ -19,7 +19,7 @@ from graphscatter import (
     save_spec,
     total_scattering,
 )
-from graphscatter import cli
+from graphscatter import cli, spectral
 from graphscatter.assemble import assemble_blocks, assemble_propagation
 from graphscatter.cli import main
 from graphscatter.solve import NEAR_POLE_RTOL
@@ -438,6 +438,50 @@ def test_poles_and_spectrum_run_without_scipy(tmp_path):
 def one_error_line(capsys):
     lines = capsys.readouterr().err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_closed_stdout_pipe_exits_1_silently(tmp_path):
+    graph = gen(tmp_path, "cube")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # far more output than a pipe buffers, so the writer is still writing
+    # when the reader goes away after one line
+    run = subprocess.Popen([sys.executable, "-m", "graphscatter.cli", "stot", "--graph", graph,
+                            "--steps", "2000"], env=env, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE)
+    try:
+        assert run.stdout.readline() == b"{\n"
+        run.stdout.close()
+        err = run.stderr.read()
+        assert run.wait(timeout=120) == 1
+    finally:
+        run.kill()
+        run.stderr.close()
+    assert err == b""
+
+
+def test_spectrum_unresolved_window_exits_3(tmp_path, capsys, monkeypatch):
+    graph = gen(tmp_path, "interval_compact")
+    sampler = spectral._phase_sampler
+
+    def phantom_root(bond, lengths):
+        # counts one eigenmomentum more above p = 2 than there is
+        sample = sampler(bond, lengths)
+
+        def shifted(p):
+            q, total, low, high = sample(p)
+            return q, total + (2 * math.pi if p > 2.0 else 0.0), low, high
+
+        return shifted
+
+    monkeypatch.setattr(spectral, "_phase_sampler", phantom_root)
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--graph", graph, "--p-min", "0.5", "--p-max", "7",
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: spectrum: ")
+    assert not out.exists()
 
 
 def test_non_finite_tolerance_exits_2(tmp_path, capsys):
