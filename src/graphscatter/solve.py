@@ -86,18 +86,11 @@ def _inverse(m: np.ndarray, *rhs: np.ndarray):
     return out, singular
 
 
-def _chunk_length(n: int) -> int:
-    """Matrices of size n per chunk of a stack, so that a chunk holds
-    about _CHUNK_ELEMENTS entries."""
-    return max(1, _CHUNK_ELEMENTS // max(1, n ** 2))
-
-
-def _resolvent_stack(e0: np.ndarray, lengths: np.ndarray, s22: np.ndarray, p: np.ndarray):
-    """M(p) = E(0) D(p) - s22 for every momentum of the array p, real or
-    complex; D(p) = diag(exp(-i p d_s)) scales column s of E(0). s22 is
-    one matrix or a stack as long as p. Callers first refuse momenta
-    whose phase overflows (_refuse_phase_overflow)."""
-    return e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
+def _chunks(n: int, count: int) -> list[slice]:
+    """Slices that cut a stack of count n-by-n matrices into chunks of
+    about _CHUNK_ELEMENTS entries each."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, n ** 2))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _refuse_phase_overflow(idx: ModeIndex, momenta: np.ndarray) -> None:
@@ -125,13 +118,13 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
     e0 = assemble_propagation(g, idx, 0.0).matrix
     lengths = np.asarray(idx.slot_length)
-    step = _chunk_length(idx.n_internal_slots)
-    for start in range(0, len(momenta), step):
-        p = momenta[start:start + step]
+    for chunk in _chunks(idx.n_internal_slots, len(momenta)):
+        p = momenta[chunk]
         blocks = fixed or [assemble_blocks(g, locals_, idx, q) for q in p.tolist()]
         s11, s12, s21, s22 = (np.stack([getattr(b, f) for b in blocks])
                               for f in ("ext_ext", "ext_int", "int_ext", "int_int"))
-        m = _resolvent_stack(e0, lengths, s22, p)
+        # M(p) = E(0) D(p) - s22, D(p) = diag(exp(-i p d_s)) scaling column s
+        m = e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
         minv, near = _inverse(m)
         # kappa_2 <= |M|_F |M^-1|_F, squares summed on float views with no
         # stack-sized temporaries; the factor 2 covers the inverse's rounding
@@ -144,7 +137,7 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
         with np.errstate(over="ignore", invalid="ignore"):
             core = minv @ s21
             s_tot = s11 + s12 @ core
-        yield slice(start, start + len(p)), s_tot, m, core, near
+        yield chunk, s_tot, m, core, near
 
 
 def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):

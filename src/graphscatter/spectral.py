@@ -20,11 +20,11 @@ the eigenmomenta are the momenta where an eigenphase crosses 0 mod
 2 pi. The sum of the principal eigenphases counts these crossings
 exactly (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013).
 The counts cut the range into windows, and in each window Beyn's
-contour integral of M(p)^-1, M(p) = E(0) D(p) - s22 (W.-J. Beyn,
-Linear Algebra Appl. 436, 3839, 2012) over trapezoid nodes, which
-converge exponentially (Trefethen & Weideman, SIAM Rev. 56, 385,
-2014), places the eigenmomenta; two refinement steps polish them, and
-the window's count certifies that none is missing.
+contour integral of A(p)^-1, A(p) = I - U(p) (W.-J. Beyn, Linear
+Algebra Appl. 436, 3839, 2012) over trapezoid nodes, which converge
+exponentially (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), places
+the eigenmomenta; two refinement steps on the same A(p) polish them,
+and the window's count certifies that none is missing.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import (
-    MAX_GRID_POINTS,
-    _chunk_length,
-    _inverse,
-    _refuse_phase_overflow,
-    _resolvent_stack,
-)
+from .solve import MAX_GRID_POINTS, _chunks, _inverse, _refuse_phase_overflow
 
 __all__ = [
     "SecularPolynomial",
@@ -404,11 +398,13 @@ def _windows(grid, cap: int):
 
 
 def _resolvents(system, p: np.ndarray) -> np.ndarray:
-    """M(p) = E(0) D(p) - s22 at the momenta p of a compact system
-    (idx, E(0), s22), refusing momenta whose phase overflows."""
-    idx, e0, s22 = system
+    """A(p) = I - U(p), U(p) = diag(exp(i p lengths)) bond, at the
+    momenta p of a compact system (idx, bond), refusing momenta whose
+    phase overflows."""
+    idx, bond = system
     _refuse_phase_overflow(idx, p)
-    return _resolvent_stack(e0, np.asarray(idx.slot_length), s22, p)
+    phase = np.exp(1j * p[:, None] * np.asarray(idx.slot_length))
+    return np.eye(len(bond)) - phase[:, :, None] * bond
 
 
 def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray):
@@ -417,13 +413,13 @@ def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray
 
     The ellipse z = c + r w, w = cos t + i CONTOUR_RATIO sin t, carries
     CONTOUR_NODES trapezoid nodes t_j = 2 pi (j + 1/2) / N, none of them
-    real, so M(z_j) is never singular. One stacked solve per chunk of
-    nodes gives X_j = M(z_j)^-1 V for the first count + PROBE_EXTRA
-    columns V of the probe, and the moments A_k = sum_j w_j^k w'(t_j) X_j
-    are (1 / 2 pi i) oint w^k M^-1 V dz up to a factor that cancels.
-    With A_0 = U S W^H truncated to its rank, the number of singular
+    real, so A(z_j) is never singular. One stacked solve per chunk of
+    nodes gives X_j = A(z_j)^-1 V for the first count + PROBE_EXTRA
+    columns V of the probe, and the moments B_k = sum_j w_j^k w'(t_j) X_j
+    are (1 / 2 pi i) oint w^k A^-1 V dz up to a factor that cancels.
+    With B_0 = Q S W^H truncated to its rank, the number of singular
     values above RANK_RTOL of the largest but at least count, the
-    eigenvalues of U^H A_1 W S^-1 are the w of the eigenmomenta and U
+    eigenvalues of Q^H B_1 W S^-1 are the w of the eigenmomenta and Q
     maps its eigenvectors to their null vectors. The rank also counts
     eigenmomenta just outside the ellipse, as a root of high
     multiplicity next to an end; when it fills the probe, the integral
@@ -436,13 +432,11 @@ def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray
     weights = np.stack([np.ones_like(w), w]) * (-np.sin(t) + 1j * CONTOUR_RATIO * np.cos(t))
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     z = c + r * w
-    step = _chunk_length(n)
     for width in (min(n, count + PROBE_EXTRA), n):
         moments = np.zeros((2, n, width), dtype=complex)
-        for start in range(0, CONTOUR_NODES, step):
-            part = slice(start, start + step)
-            m = _resolvents(system, z[part])
-            x = np.linalg.solve(m, np.broadcast_to(probe[:, :width], (len(m), n, width)))
+        for part in _chunks(n, CONTOUR_NODES):
+            az = _resolvents(system, z[part])
+            x = np.linalg.solve(az, np.broadcast_to(probe[:, :width], (len(az), n, width)))
             moments += np.tensordot(weights[:, part], x, axes=1)
         u, sigma, vh = np.linalg.svd(moments[0], full_matrices=False)
         rank = max(count, int(np.sum(sigma > RANK_RTOL * sigma[0])))
@@ -459,28 +453,25 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     """Two inverse-iteration and Rayleigh-functional steps on every
     estimate at once, chunk by chunk.
 
-    With M'(p) = -i E(0) D(p) diag(L), a step solves M(p) y = M'(p) x,
-    normalises y, and moves p by the Newton step of w^H M(p) y for the
-    fixed w = E(0) D(p) y, the left null vector when y is the right one;
-    at real p its derivative is -i y^H diag(L) y. Returns the momenta
-    and the size of each one's last step. An exactly singular M(p)
-    leaves p and x as they are, with a last step of 0.
+    A'(p) = -i diag(L) U(p) is -i diag(L) on the null vectors of A(p),
+    so a step solves A(p) y = diag(L) x, the constant -i dropped,
+    normalises y, and moves p by the Newton step of y^H A(p) y: U(p) is
+    unitary at real p, so the left null vector of A(p) is the right
+    one, and the derivative there is -i y^H diag(L) y. Returns the
+    momenta and the size of each one's last step. An exactly singular
+    A(p) leaves p and x as they are, with a last step of 0.
     """
-    idx, _, s22 = system
+    idx, _ = system
     lengths = np.asarray(idx.slot_length)
     p, x, moved = p.copy(), x.copy(), np.zeros(len(p))
-    step = _chunk_length(len(s22))
-    for start in range(0, len(p), step):
-        part = slice(start, start + step)
+    for part in _chunks(len(lengths), len(p)):
         for _ in range(2):
-            m = _resolvents(system, p[part])
-            e0_d = m + s22
-            y, singular = _inverse(m, -1j * e0_d @ (lengths * x[part])[..., None])
+            a = _resolvents(system, p[part])
+            y, singular = _inverse(a, (lengths * x[part])[..., None])
             y = np.where(singular[:, None], x[part], y[..., 0])
             y /= np.linalg.norm(y, axis=1, keepdims=True)
-            my = (m @ y[..., None])[..., 0]
-            left = (e0_d @ y[..., None])[..., 0]
-            shift = np.sum(left.conj() * my, axis=1).imag / (np.abs(y) ** 2 @ lengths)
+            ay = (a @ y[..., None])[..., 0]
+            shift = np.sum(y.conj() * ay, axis=1).imag / (np.abs(y) ** 2 @ lengths)
             shift[singular] = 0.0
             p[part] += shift
             x[part], moved[part] = y, np.abs(shift)
@@ -553,9 +544,9 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     if g.n_internal == 0:
         return []
 
-    s22 = blocks.int_int
-    n = len(s22)
-    sample = _phase_sampler(s22[list(idx.partner)], np.asarray(idx.slot_length))
+    bond = blocks.int_int[list(idx.partner)]
+    n = len(bond)
+    sample = _phase_sampler(bond, np.asarray(idx.slot_length))
     # the grid overhangs both ends so that a root on an end is inside it,
     # and a point with a root on it moves right by a quarter step (the
     # first one left, the last one right)
@@ -568,7 +559,7 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     points = np.linspace(lo_end, hi_end, math.ceil(steps) + 1)
     quarter = 0.25 * (points[1] - points[0])
     grid = [_cut(sample, p, -quarter if i == 0 else quarter) for i, p in enumerate(points)]
-    system = (idx, assemble_propagation(g, idx, 0.0).matrix, s22)
+    system = (idx, bond)
     probe = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
     windows = _windows(grid, max(1, n // 2))[::-1]
     roots = []
@@ -603,8 +594,8 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
     The vertex matrices must be constant and unitary, or a
     ValidationError is raised. The roots are counted exactly on the
     eigenphases of the unitary U(p) = E(-p) s22 and placed by a contour
-    integral of M(p)^-1 = (E(0) D(p) - s22)^-1 over windows of the
-    range (_eigenmomenta); roots within ROOT_DEDUP_TOL of each other are
+    integral of (I - U(p))^-1 over windows of the range
+    (_eigenmomenta); roots within ROOT_DEDUP_TOL of each other are
     reported once. A window whose roots cannot be placed to match its
     count raises a NumericalError.
     """

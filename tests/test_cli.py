@@ -183,8 +183,39 @@ def test_spectrum_cli(tmp_path):
                "--format", "csv", "--out", str(csv_out)])
     assert rc == 0
     lines = csv_out.read_text().strip().split("\n")
-    assert lines[0] == "p"
+    assert lines[0] == "p,multiplicity"
     assert len(lines) == 4
+
+
+def test_spectrum_reports_loop_multiplicity(tmp_path):
+    # a Kirchhoff loop of length 1 is a circle: cos and sin at p = 2 pi
+    path = tmp_path / "loop.json"
+    save_spec(GraphSpec(1, ((0, 0, 1.0),), ()), path)
+    out = tmp_path / "loop.out.json"
+    rc = main(["spectrum", "--graph", str(path), "--p-min", "0.1", "--p-max", "7",
+               "--out", str(out)])
+    assert rc == 0
+    doc = read_json(out)
+    assert len(doc["p"]) == 1 and abs(doc["p"][0] - 2 * math.pi) < 1e-14
+    assert doc["multiplicity"] == [2]
+
+
+def test_spectrum_reports_k4_multiplicities(tmp_path):
+    # compact K4 as in test_eigenmomenta_count_k4_multiplicities
+    edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+    path = tmp_path / "k4.json"
+    save_spec(GraphSpec(4, edges, ()), path)
+    argv = ["spectrum", "--graph", str(path), "--p-min", "0.1", "--p-max", repr(2 * math.pi)]
+    out = tmp_path / "k4.out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["multiplicity"] == [3, 2, 3, 4]
+    csv_out = tmp_path / "k4.out.csv"
+    assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text().strip().split("\n")
+    assert lines[0] == "p,multiplicity"
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == \
+        list(zip(doc["p"], doc["multiplicity"]))
 
 
 def test_verify_pass_and_fail(tmp_path):
@@ -561,14 +592,14 @@ def test_non_finite_numbers_in_graph_files_exit_1(tmp_path, capsys, where, value
 DOCUMENTED_KEYS = {
     "stot": ["command", "external_modes", "results"],
     "poles": ["command", "unit_length", "poles"],
-    "spectrum": ["command", "p_min", "p_max", "p"],
+    "spectrum": ["command", "p_min", "p_max", "p", "multiplicity"],
     "verify": ["command", "tolerance", "max_involution_defect", "max_unitarity_defect",
                "pass", "results"],
     "equiv": ["command", "tolerance", "max_deviation", "pass", "results"],
 }
 DOCUMENTED_COLUMNS = {
     "poles": ["zeta_re", "zeta_im", "p_re", "p_im", "multiplicity", "removable"],
-    "spectrum": ["p"],
+    "spectrum": ["p", "multiplicity"],
     "verify": ["p", "near_pole", "involution_defect", "unitarity_defect"],
     "equiv": ["p", "near_pole", "deviation"],
 }
@@ -595,7 +626,7 @@ def csv_values(doc):
         return [[*rec["zeta"], *rec["p_representative"], rec["multiplicity"], rec["removable"]]
                 for rec in doc["poles"]]
     if command == "spectrum":
-        return [[p] for p in doc["p"]]
+        return [list(row) for row in zip(doc["p"], doc["multiplicity"])]
     return [[rec[name] for name in DOCUMENTED_COLUMNS[command]] for rec in doc["results"]]
 
 

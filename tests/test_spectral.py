@@ -28,7 +28,7 @@ from graphscatter import (
     symmetry_factor_check,
     tetra2_local,
 )
-from graphscatter import spectral
+from graphscatter import solve, spectral
 from _helpers import compact_rational_ring, random_graph, random_locals
 
 
@@ -439,6 +439,22 @@ def test_eigenmomenta_count_k4_multiplicities():
     assert max(abs(p - w) for (p, _), w in zip(got, want)) < 1e-13
 
 
+def test_eigenmomenta_across_chunk_boundaries(monkeypatch):
+    # contour nodes and refined estimates solved one to three at a time
+    edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+    k4 = build_graph(GraphSpec(4, edges, ()))
+    systems = [(k4, [kirchhoff_local(v, 3) for v in range(4)], mode_index(k4)),
+               compact_rational_ring(21)]
+    for g, locs, idx in systems:
+        want = spectral._eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
+        for per_chunk in (1, 2, 3):
+            monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", per_chunk * idx.n_internal_slots ** 2)
+            got = spectral._eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
+            monkeypatch.undo()
+            assert [k for _, k in got] == [k for _, k in want]
+            assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) < 1e-14
+
+
 def test_compact_spectrum_finds_every_root_of_rational_ring():
     # the benchmark's seed-21 ring, where a |det| scan missed 8 of 87
     # roots, and the rings of seeds 0-9
@@ -454,6 +470,8 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
         # seed 9 has a double root, reported once
         distinct = np.sum(np.diff(want) > 1e-8) + 1
         assert len(got) == (87 if seed == 21 else distinct)
+        # with its multiplicity
+        assert sum(k for _, k in spectral._eigenmomenta(g, locs, idx, 0.1, 10.0)) == len(want)
         assert all(np.min(np.abs(got - p)) < 1e-12 for p in want)
         assert all(np.min(np.abs(want - p)) < 1e-12 for p in got)
 
