@@ -36,7 +36,7 @@ from .errors import NumericalError, SpecFileError, ValidationError
 from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic, triangle_and_star_pair
 from .graph import build_graph, mode_index
 from .local import kirchhoff_local
-from .solve import MAX_GRID_POINTS, grid_defects, scattering_grid
+from .solve import MAX_GRID_POINTS, _refuse_range, grid_defects, scattering_grid
 from .specfile import graph_to_spec, load_spec, locals_from_spec, spec_to_dict
 from .spectral import _eigenmomenta, find_poles, secular_polynomial
 
@@ -123,12 +123,7 @@ def _momentum_grid(args) -> list:
         return list(args.p_list)
     if args.steps < 1:
         raise ValidationError("--steps must be at least 1")
-    if not (math.isfinite(args.p_min) and math.isfinite(args.p_max)):
-        raise ValidationError("--p-min and --p-max must be finite")
-    if not args.p_min < args.p_max:
-        raise ValidationError("--p-min must be below --p-max")
-    if not math.isfinite(args.p_max - args.p_min):
-        raise ValidationError("--p-max - --p-min must be finite")
+    _refuse_range(args.p_min, args.p_max)
     if args.steps > MAX_GRID_POINTS:
         raise MemoryError("%d momenta exceed numpy's array size limit" % args.steps)
     return [float(p) for p in np.linspace(args.p_min, args.p_max, args.steps)]

@@ -166,8 +166,6 @@ def commuting_colour_matrices(c: Colouring):
     mats = []
     for a in range(c.colour_count):
         mat = _permutation_matrix([row[a] for row in c.neighbor], n, "colour %d" % a)
-        if np.max(np.abs(mat - mat.T)) > 0 or np.max(np.abs(mat @ mat - np.eye(n))) > 0:
-            raise ValidationError("colour %d does not define a pairing" % a)
         mat.flags.writeable = False
         mats.append(mat)
     commute = all(

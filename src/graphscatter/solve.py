@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import inf, nan
+from math import inf, isfinite, nan
 
 import numpy as np
 
 from .assemble import assemble_blocks, assemble_propagation
-from .errors import NearPole, SeriesDiverges, SizeMismatch, ValidationError
+from .errors import EmptyInterval, NearPole, SeriesDiverges, SizeMismatch, ValidationError
 from .graph import Graph, ModeIndex
 from .local import _involution_defect, _unitarity_defect
 
@@ -101,6 +101,17 @@ def _refuse_phase_overflow(idx: ModeIndex, momenta: np.ndarray) -> None:
     if float(reach.max(initial=0.0)) * longest == inf:
         raise ValidationError("momentum p=%r times the longest edge length %r overflows"
                               % (momenta[reach.argmax()].item(), longest))
+
+
+def _refuse_range(p_min: float, p_max: float) -> None:
+    """ValidationError unless p_min, p_max and the width p_max - p_min
+    are finite; EmptyInterval unless p_min < p_max."""
+    if not (isfinite(p_min) and isfinite(p_max)):
+        raise ValidationError("need finite p_min and p_max, got [%r, %r]" % (p_min, p_max))
+    if not p_min < p_max:
+        raise EmptyInterval("need p_min < p_max, got [%r, %r]" % (p_min, p_max))
+    if not isfinite(p_max - p_min):
+        raise ValidationError("need a finite width p_max - p_min, got [%r, %r]" % (p_min, p_max))
 
 
 def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):

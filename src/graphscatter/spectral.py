@@ -18,8 +18,9 @@ Compact spectra need no commensurability: for constant unitary vertex
 matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
 the eigenmomenta are the momenta where an eigenphase crosses 0 mod
 2 pi. The sum of the principal eigenphases counts these crossings
-exactly (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013).
-The counts cut the range into windows, and in each window Beyn's
+exactly between any two momenta (Berkolaiko & Kuchment, Introduction
+to Quantum Graphs, 2013). Splitting the range on these counts gives
+windows of a few eigenmomenta each, and in each window Beyn's
 contour integral of A(p)^-1, A(p) = I - U(p) (W.-J. Beyn, Linear
 Algebra Appl. 436, 3839, 2012) over trapezoid nodes, which converge
 exponentially (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), places
@@ -38,7 +39,6 @@ import numpy as np
 from .assemble import assemble_blocks, assemble_propagation, resolve_locals
 from .errors import (
     DegenerateConstantPolynomial,
-    EmptyInterval,
     FitResidualTooLarge,
     IncommensurableLengths,
     NonConstantLocals,
@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import MAX_GRID_POINTS, _chunks, _inverse, _refuse_phase_overflow
+from .solve import MAX_GRID_POINTS, _chunks, _inverse, _refuse_phase_overflow, _refuse_range
 
 __all__ = [
     "SecularPolynomial",
@@ -81,7 +81,7 @@ REFINE_RTOL = 1e-9
 # a window ends only where every eigenphase is this far from 0, far
 # above their error of about n eps (_phase_sampler): no root sits on a
 # cut, the counts on either side are exact, and a root on a range end
-# (1e-8 inside the grid) moves that end outward
+# (1e-8 inside the first window) moves that end outward
 CUT_GAP = 1e-6
 
 
@@ -342,6 +342,7 @@ def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
     """
     n = len(lengths)
     eye = np.eye(n)
+    total = float(np.sum(lengths))
     beta = None
 
     def summary(p, phi):
@@ -350,7 +351,8 @@ def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
         phi = np.sort(phi % TWO_PI)
         gaps = np.diff(phi, append=phi[0] + TWO_PI)
         beta = phi[np.argmax(gaps)] + 0.5 * np.max(gaps) - math.pi
-        return p, p * np.sum(lengths) - np.sum(phi), phi[0], phi[-1]
+        # Python floats: a sum beyond the float range is inf, not a warning
+        return p, float(p) * total - float(np.sum(phi)), phi[0], phi[-1]
 
     def sample(p):
         u = np.exp(1j * p * lengths)[:, None] * bond
@@ -383,18 +385,6 @@ def _cut(sample, p: float, step: float):
         if min(s[2], TWO_PI - s[3]) >= CUT_GAP:
             break
     return s
-
-
-def _windows(grid, cap: int):
-    """Consecutive phase samples of the grid cut into windows of at most
-    cap eigenmomenta, or of one grid step when that step holds more."""
-    windows, start = [], 0
-    for i in range(2, len(grid)):
-        if _crossings(grid[start], grid[i]) > cap:
-            windows.append((grid[start], grid[i - 1]))
-            start = i - 1
-    windows.append((grid[start], grid[-1]))
-    return windows
 
 
 def _resolvents(system, p: np.ndarray) -> np.ndarray:
@@ -520,24 +510,21 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     eigenphases rise with p and each crossing of 0 lowers the sum of
     the principal phases by 2 pi. The eigenmomenta in (a, b], with
     multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
-    + sum phi(a)) / 2 pi, counted on a grid on which no phase moves
-    more than pi / 2 per step. The grid is cut into windows of at most
-    n / 2 eigenmomenta (n slots); Beyn's contour integral around each
-    (_contour_estimates) and two refinement steps (_refine) place them,
-    and a window is kept only when its refined momenta match its count
-    (_certified). Otherwise it is split and each half retried; a window
-    no wider than ROOT_DEDUP_TOL that still fails raises a
-    NumericalError.
+    + sum phi(a)) / 2 pi for any a < b, from two phase samples. The
+    range starts as one window and a window is split in two, at a
+    sample where no phase is near 0, while it holds more than n / 2
+    eigenmomenta (n slots) and is wider than pi / (2 max(lengths)).
+    Beyn's contour integral around a window (_contour_estimates) and
+    two refinement steps (_refine) place its eigenmomenta, and it is
+    kept only when its refined momenta match its count (_certified);
+    otherwise it is split in the same way. A window no wider than
+    ROOT_DEDUP_TOL that still fails raises a NumericalError, and a
+    range holding more eigenmomenta than an array can a MemoryError.
     """
     if g.n_external > 0:
         raise NotCompact("spectrum is defined for graphs without external edges; found %d"
                          % g.n_external)
-    if not (math.isfinite(p_min) and math.isfinite(p_max)):
-        raise ValidationError("need finite p_min and p_max, got [%r, %r]" % (p_min, p_max))
-    if not (p_min < p_max):
-        raise EmptyInterval("need p_min < p_max, got [%r, %r]" % (p_min, p_max))
-    if not math.isfinite(p_max - p_min):
-        raise ValidationError("need a finite width p_max - p_min, got [%r, %r]" % (p_min, p_max))
+    _refuse_range(p_min, p_max)
     resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "spectrum")
     if not all(loc.unitary for loc in resolved):
         raise ValidationError("spectrum requires unitary vertex matrices")
@@ -547,32 +534,36 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     bond = blocks.int_int[list(idx.partner)]
     n = len(bond)
     sample = _phase_sampler(bond, np.asarray(idx.slot_length))
-    # the grid overhangs both ends so that a root on an end is inside it,
-    # and a point with a root on it moves right by a quarter step (the
-    # first one left, the last one right)
+    # the range overhangs both ends so that a root on an end is inside it,
+    # and an end with a root on it moves outward
     lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
     _refuse_phase_overflow(idx, np.array([lo_end, hi_end]))
-    steps = (hi_end - lo_end) * max(idx.slot_length) / (0.5 * math.pi)
-    if not steps < MAX_GRID_POINTS:
-        raise MemoryError("[%r, %r] needs %.3g momenta, beyond numpy's array size limit"
-                          % (p_min, p_max, steps))
-    points = np.linspace(lo_end, hi_end, math.ceil(steps) + 1)
-    quarter = 0.25 * (points[1] - points[0])
-    grid = [_cut(sample, p, -quarter if i == 0 else quarter) for i, p in enumerate(points)]
+    narrow = 0.5 * math.pi / max(idx.slot_length)
+    quarter = 0.25 * min(hi_end - lo_end, narrow)
+    lo, hi = _cut(sample, lo_end, -quarter), _cut(sample, hi_end, quarter)
+    total = (hi[1] - lo[1]) / TWO_PI
+    if not total < MAX_GRID_POINTS:
+        raise MemoryError("[%r, %r] holds %.3g eigenmomenta, beyond numpy's array size limit"
+                          % (p_min, p_max, total))
+    # the result must hold them all; numpy refuses at once to allocate an
+    # array of them that the address space or the memory cannot hold
+    np.empty(round(total))
     system = (idx, bond)
     probe = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
-    windows = _windows(grid, max(1, n // 2))[::-1]
-    roots = []
+    cap = max(1, n // 2)
+    windows, roots = [(lo, hi)], []
     while windows:
         lo, hi = windows.pop()
         count = _crossings(lo, hi)
         if count == 0:
             continue
-        p, moved = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
-        found = _certified(sample, p, moved, lo[0], hi[0], count)
-        if found is not None:
-            roots += found
-            continue
+        p = np.empty(0)
+        if count <= cap or hi[0] - lo[0] <= narrow:
+            p, moved = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
+            found = _certified(sample, p, moved, lo[0], hi[0], count)
+            if found is not None:
+                roots += found
+                continue
         mid = _cut(sample, _split_point(p, lo[0], hi[0]), (hi[0] - lo[0]) / 16)
         if not (hi[0] - lo[0] > ROOT_DEDUP_TOL and lo[0] < mid[0] < hi[0]):
             raise NumericalError("spectrum: could not place the %d eigenmomenta counted in "

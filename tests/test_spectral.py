@@ -476,6 +476,34 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
         assert all(np.min(np.abs(want - p)) < 1e-12 for p in got)
 
 
+def test_eigenmomenta_high_multiplicities_and_wide_ranges():
+    # unit Kirchhoff platonic graphs, multiplicities up to 20 on the
+    # icosahedron, against the unit bond matrix's eigenvalues on the unit
+    # circle, zeta = exp(-i p)
+    for name in ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"):
+        solid, _ = platonic(name)
+        g = build_graph(GraphSpec(solid.vertex_count,
+                                  tuple((e.u, e.v, e.length) for e in solid.internal_edges), ()))
+        idx = mode_index(g)
+        locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
+        s22 = assemble_blocks(g, locs, idx, 0.0).int_int
+        u, _, _ = spectral._bond_matrix(idx, spectral._slot_powers(idx, 1.0), s22)
+        lam = np.linalg.eigvals(u)
+        phase = -np.angle(lam[np.abs(np.abs(lam) - 1.0) < 1e-8]) % (2 * np.pi)
+        want = np.sort([p for k in range(3) for p in phase + 2 * np.pi * k if 0.1 <= p <= 10.0])
+        groups = np.split(want, np.flatnonzero(np.diff(want) > 1e-8) + 1)
+        got = spectral._eigenmomenta(g, locs, idx, 0.1, 10.0)
+        assert [k for _, k in got] == [len(group) for group in groups], name
+        assert max(abs(p - group.mean()) for (p, _), group in zip(got, groups)) < 1e-12, name
+    assert max(k for _, k in got) == 20
+    # an interval of length 1.3 with hundreds of simple roots n pi / 1.3
+    g, locs, idx = interval_system(length=1.3)
+    got = spectral._eigenmomenta(g, locs, idx, 0.1, 1000.0)
+    want = np.pi * np.arange(1, int(1000.0 * 1.3 / np.pi) + 1) / 1.3
+    assert [k for _, k in got] == [1] * len(want)
+    assert max(abs(p - w) / w for (p, _), w in zip(got, want)) < 1e-14
+
+
 def test_compact_spectrum_interval_returns_both_ends():
     g, locs, idx = interval_system()
     got = compact_spectrum(g, locs, idx, np.pi, 2 * np.pi)
