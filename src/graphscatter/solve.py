@@ -9,18 +9,20 @@ and the internal amplitudes driven by an external vector a are
 
     B(p) = [E(-p) - s22(-p)]^{-1} s21(-p) a.
 
-Every momentum goes through ``scattering_grid``, which inverts the
-matrices M(p) = E(0) D(p) - s22 of a whole grid as one stack and takes
-exact singular values only where kappa_2 <= |M|_F |M^-1|_F cannot rule
-out a pole. A truncated multiple-reflection series is
-provided as an independent oracle for testing.
+Every momentum goes through ``scattering_grid``, which solves
+M(p) X = [s21 | Omega] for the matrices M(p) = E(0) D(p) - s22 of a
+whole grid as one stack. Omega is a fixed, seeded block of random
+probe columns whose solutions bound |M^-1|_2 (Dixon's estimator), so
+exact singular values are taken only where the bound cannot rule out
+a pole. A truncated multiple-reflection series is provided as an
+independent oracle for testing.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import inf, isfinite, nan
+from math import inf, isfinite, nan, pi, sqrt
 
 import numpy as np
 
@@ -47,6 +49,11 @@ NEAR_POLE_RTOL = 1e-12
 # resolvent entries per chunk of a grid; bounds a sweep's working memory
 _CHUNK_ELEMENTS = 1 << 18
 
+# random probe columns of the conditioning certificate; each divides the
+# chance that |M^-1|_2 > _PROBE_FACTOR max_i |M^-1 w_i| by ten
+_PROBES = 8
+_PROBE_FACTOR = 10.0 * sqrt(2.0 / pi)
+
 # longest float64 array numpy can index; longer momentum grids raise
 # MemoryError instead of numpy's ValueError or IndexError
 MAX_GRID_POINTS = sys.maxsize // 8
@@ -67,23 +74,36 @@ class TotalSMatrix:
         return (self.sigma_min, self.sigma_max)
 
 
-def _inverse(m: np.ndarray, *rhs: np.ndarray):
-    """M^-1 for each matrix M of the stack m, or M^-1 b with the matching
-    b of the stack rhs, and the mask of the exactly singular matrices.
-    These fail the batched LU: the stack is then done one by one and
-    their rows are NaN."""
-    op = np.linalg.solve if rhs else np.linalg.inv
+def _solve(m: np.ndarray, b: np.ndarray):
+    """M^-1 B for each matrix M of the stack m and the matching B of the
+    stack b, and the mask of the exactly singular matrices. These fail
+    the batched LU: the stack is then done one by one and their rows
+    are NaN."""
     singular = np.zeros(len(m), dtype=bool)
     try:
-        return op(m, *rhs), singular
+        return np.linalg.solve(m, b), singular
     except np.linalg.LinAlgError:
-        out = np.full_like((m, *rhs)[-1], nan)
+        out = np.full_like(b, nan)
     for k in range(len(m)):
         try:
-            out[k] = op(m[k], *(b[k] for b in rhs))
+            out[k] = np.linalg.solve(m[k], b[k])
         except np.linalg.LinAlgError:
             singular[k] = True
     return out, singular
+
+
+def _probe_block(n: int) -> np.ndarray:
+    """The fixed n-by-_PROBES probe block Omega, whose entries have
+    independent standard normal real and imaginary parts: a splitmix64
+    hash of a counter gives uniforms in (0, 1], Box-Muller turns each
+    pair into r e^{i theta}. It leaves numpy.random unimported."""
+    z = np.arange(1, 2 * n * _PROBES + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0 ** -53
+    radius, turn = u.reshape(2, n, _PROBES)
+    return np.sqrt(-2.0 * np.log(radius)) * np.exp(2j * pi * turn)
 
 
 def _chunks(n: int, count: int) -> list[slice]:
@@ -117,11 +137,19 @@ def _refuse_range(p_min: float, p_max: float) -> None:
 def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     """Solve the grid chunk by chunk, assembling the blocks once (per
     point when a vertex matrix depends on momentum). Yields per chunk
-    (chunk, s_tot, m, core, near): its slice of the grid, the S_tot
-    stack, the resolvent stack M, core = M^-1 s21 and the near-pole
-    mask. Rows of flagged points hold meaningless values. A momentum
-    whose product with the longest edge overflows is refused with a
-    ValidationError.
+    (chunk, s_tot, m, core, bound, near): its slice of the grid, the
+    S_tot stack, the resolvent stack M, core = M^-1 s21, the
+    conditioning bound and the near-pole mask. Rows of flagged points
+    hold meaningless values. A momentum whose product with the longest
+    edge overflows is refused with a ValidationError.
+
+    One stacked solve gives M^-1 [s21 | Omega], Omega the fixed
+    _probe_block, so the output is deterministic. kappa_2 <= |M|_F
+    |M^-1|_2, and |M^-1|_2 <= _PROBE_FACTOR max_i |M^-1 w_i| except with
+    probability 10^-_PROBES (Dixon 1983; Halko, Martinsson & Tropp 2011,
+    sec. 4.3). A point whose bound |M|_F _PROBE_FACTOR max_i |M^-1 w_i|
+    is below 0.5 / NEAR_POLE_RTOL is cleared; the factor 2 covers the
+    solve's rounding. The other points get the exact singular values.
     """
     momenta = np.asarray(momenta)
     _refuse_phase_overflow(idx, momenta)
@@ -129,6 +157,7 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
     e0 = assemble_propagation(g, idx, 0.0).matrix
     lengths = np.asarray(idx.slot_length)
+    omega = _probe_block(idx.n_internal_slots)
     for chunk in _chunks(idx.n_internal_slots, len(momenta)):
         p = momenta[chunk]
         blocks = fixed or [assemble_blocks(g, locals_, idx, q) for q in p.tolist()]
@@ -136,19 +165,23 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
                               for f in ("ext_ext", "ext_int", "int_ext", "int_int"))
         # M(p) = E(0) D(p) - s22, D(p) = diag(exp(-i p d_s)) scaling column s
         m = e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
-        minv, near = _inverse(m)
-        # kappa_2 <= |M|_F |M^-1|_F, squares summed on float views with no
-        # stack-sized temporaries; the factor 2 covers the inverse's rounding
-        sq = [np.einsum("kij,kij->k", a.view(float), a.view(float)) for a in (m, minv)]
-        bound = np.sqrt(sq[0] * sq[1])
+        rhs = np.empty((len(p), len(omega), g.n_external + _PROBES), dtype=complex)
+        rhs[..., :g.n_external], rhs[..., g.n_external:] = s21, omega
+        x, near = _solve(m, rhs)
+        core, probed = np.split(x, [g.n_external], axis=2)
+        # |M|_F^2 summed on a float view with no stack-sized temporary; a
+        # bound that overflows clears nothing
+        with np.errstate(over="ignore"):
+            m_sq = np.einsum("kij,kij->k", m.view(float), m.view(float))
+            probe_sq = (probed.real ** 2 + probed.imag ** 2).sum(axis=1).max(axis=1)
+            bound = _PROBE_FACTOR * np.sqrt(m_sq * probe_sq)
         for k in np.flatnonzero(~near & ~(bound < 0.5 / NEAR_POLE_RTOL)):
             sigma = np.linalg.svd(m[k], compute_uv=False)
             near[k] = sigma[-1] <= NEAR_POLE_RTOL * sigma[0]
         # an overflowing S_tot is left inf or nan for the caller to refuse
         with np.errstate(over="ignore", invalid="ignore"):
-            core = minv @ s21
             s_tot = s11 + s12 @ core
-        yield chunk, s_tot, m, core, near
+        yield chunk, s_tot, m, core, bound, near
 
 
 def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
@@ -157,7 +190,7 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
     pole, whose rows of the stack are NaN."""
     stack = np.empty((len(momenta), g.n_external, g.n_external), dtype=complex)
     near = np.zeros(len(momenta), dtype=bool)
-    for chunk, s_tot, _, _, flags in _resolvent_chunks(g, locals_, idx, momenta):
+    for chunk, s_tot, _, _, _, flags in _resolvent_chunks(g, locals_, idx, momenta):
         stack[chunk] = s_tot
         near[chunk] = flags
     stack[near] = complex(nan, nan)
@@ -167,7 +200,7 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
 def _one_point(g: Graph, locals_, idx: ModeIndex, p: complex):
     """(S_tot, core, sigma_min, sigma_max) at one momentum, from the
     grid engine; raises NearPole with the exact singular values."""
-    ((_, s_tot, m, core, near),) = _resolvent_chunks(g, locals_, idx, [p])
+    ((_, s_tot, m, core, _, near),) = _resolvent_chunks(g, locals_, idx, [p])
     if g.n_internal == 0:
         return s_tot[0], core[0], nan, nan
     sigma = np.linalg.svd(m[0], compute_uv=False)

@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import MAX_GRID_POINTS, _chunks, _inverse, _refuse_phase_overflow, _refuse_range
+from .solve import MAX_GRID_POINTS, _chunks, _refuse_phase_overflow, _refuse_range, _solve
 
 __all__ = [
     "SecularPolynomial",
@@ -457,7 +457,7 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     for part in _chunks(len(lengths), len(p)):
         for _ in range(2):
             a = _resolvents(system, p[part])
-            y, singular = _inverse(a, (lengths * x[part])[..., None])
+            y, singular = _solve(a, (lengths * x[part])[..., None])
             y = np.where(singular[:, None], x[part], y[..., 0])
             y /= np.linalg.norm(y, axis=1, keepdims=True)
             ay = (a @ y[..., None])[..., 0]

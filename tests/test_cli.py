@@ -416,6 +416,29 @@ def test_sweeps_run_in_process(tmp_path):
         assert fh3.read() == fh1.read()
 
 
+def test_sweeps_leave_numpy_random_unimported(tmp_path):
+    # numpy 2 imports numpy.random lazily; numpy 1.x imports it with numpy
+    graph = gen(tmp_path, "dodecahedron")
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "import graphscatter.cli as cli\n"
+        "graph, out = sys.argv[1:]\n"
+        "assert cli.main(['stot', '--graph', graph, '--steps', '8', '--out', out]) == 0\n"
+        "assert cli.main(['verify', '--graph', graph, '--steps', '8', '--out', out]) == 0\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, graph, str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, after = done.stdout.split()
+    assert after == loaded
+
+
 def test_equiv_compact_graphs(tmp_path):
     # no leads: S_tot is 0x0 at every momentum, so the deviation is 0
     box = gen(tmp_path, "interval_compact")

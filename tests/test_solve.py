@@ -244,3 +244,55 @@ def test_scattering_grid_exactly_singular_point_mid_chunk(monkeypatch):
             assert np.array_equal(mat, total_scattering(g, locs, idx, p).matrix)
     with pytest.raises(NearPole):
         total_scattering(g, locs, idx, 0.0)
+
+
+def _certificate(g, locs, idx, momenta):
+    """(bound, near, kappa, exact) per momentum: the grid engine's
+    conditioning bound and flags, and from a full SVD of each M the
+    exact kappa_2 and near-pole rule."""
+    bound, near, kappa, exact = [], [], [], []
+    for _, _, m, _, b, flags in solve._resolvent_chunks(g, locs, idx, momenta):
+        sigma = np.linalg.svd(m, compute_uv=False)
+        bound += b.tolist()
+        near += flags.tolist()
+        with np.errstate(divide="ignore"):
+            kappa += (sigma[:, 0] / sigma[:, -1]).tolist()
+        exact += (sigma[:, -1] <= solve.NEAR_POLE_RTOL * sigma[:, 0]).tolist()
+    return np.array(bound), near, np.array(kappa), exact
+
+
+def test_probe_certificate_bounds_kappa_and_keeps_exact_flags():
+    rng = np.random.default_rng(506)
+    systems = []
+    while len(systems) < 12:
+        g = random_graph(rng, max_vertices=5)
+        if g.n_internal:
+            idx = mode_index(g)
+            systems.append((g, random_locals(rng, g, idx, unitary=len(systems) % 2 == 0), idx))
+    # 60-vertex ring with 30 chords and 6 leads, unit lengths, Kirchhoff
+    n = 60
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    edges += [(int(a), int(b), 1.0) for a, b in (rng.choice(n, 2, replace=False)
+                                                 for _ in range(n // 2))]
+    ring = build_graph(GraphSpec(n, tuple(edges), tuple(int(v) for v in
+                                                         rng.choice(n, 6, replace=False))))
+    systems.append((ring, [kirchhoff_local(v, ring.degree(v)) for v in range(n)],
+                    mode_index(ring)))
+    for g, locs, idx in systems:
+        bound, near, kappa, exact = _certificate(g, locs, idx, rng.uniform(0.05, 6.3, 40))
+        assert np.all(bound >= kappa)
+        assert near == exact
+
+    # lead decoupled from the edge, as in test_cli.test_stot_near_pole_flag:
+    # a bound state at p = pi, approached from kappa_2 ~ 1e2 to ~ 1e15
+    g = build_graph(GraphSpec(2, ((0, 1, 1.0),), (0,)))
+    locs = [constant_local(0, [[1.0, 0.0], [0.0, -1.0]]), constant_local(1, [[-1.0]])]
+    bound, near, kappa, exact = _certificate(g, locs, mode_index(g),
+                                             np.pi + 10.0 ** -np.arange(2, 16))
+    assert np.all(bound >= kappa)
+    assert near == exact
+    assert exact[0] is False and exact[-1] is True
+    cleared = bound < 0.5 / solve.NEAR_POLE_RTOL
+    # both branches: cleared by the probe, and left to the exact SVD
+    assert cleared.any() and not cleared.all()
+    assert not np.any(np.array(near)[cleared])
