@@ -67,6 +67,7 @@ from .spectral import (
     PoleRecord,
     SecularPolynomial,
     compact_spectrum,
+    eigenmomenta,
     find_poles,
     secular_determinant,
     secular_polynomial,

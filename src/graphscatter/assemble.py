@@ -89,12 +89,15 @@ def assemble_blocks(g: Graph, locals_, idx: ModeIndex, p: complex) -> BlockSyste
     exactly zero."""
     resolved = resolve_locals(g, locals_, idx)
     n_e = idx.n_external
-    n_i2 = idx.n_internal_slots
-    total = n_e + n_i2
+    total = n_e + idx.n_internal_slots
+    # one scatter of every vertex matrix, each in row-major order
+    rows, cols = [], []
+    for vtx in range(g.vertex_count):
+        slots = [*idx.vertex_external[vtx], *(n_e + s for s in idx.vertex_internal[vtx])]
+        rows += [r for r in slots for _ in slots]
+        cols += slots * len(slots)
     combined = np.zeros((total, total), dtype=complex)
-    for vtx, loc in enumerate(resolved):
-        rows = [*idx.vertex_external[vtx], *(n_e + s for s in idx.vertex_internal[vtx])]
-        combined[np.ix_(rows, rows)] = loc.matrix(p)
+    combined[rows, cols] = np.concatenate([loc.matrix(p).ravel() for loc in resolved])
     return BlockSystem(
         ext_ext=combined[:n_e, :n_e],
         ext_int=combined[:n_e, n_e:],
@@ -112,8 +115,7 @@ def assemble_propagation(g: Graph, idx: ModeIndex, p: complex) -> PropagationMat
     """
     n = idx.n_internal_slots
     mat = np.zeros((n, n), dtype=complex)
-    for s in range(n):
-        mat[idx.partner[s], s] = np.exp(-1j * p * idx.slot_length[s])
+    mat[list(idx.partner), range(n)] = np.exp(-1j * p * np.asarray(idx.slot_length))
     return PropagationMatrix(matrix=mat, momentum=p)
 
 

@@ -38,7 +38,7 @@ from .graph import build_graph, mode_index
 from .local import kirchhoff_local
 from .solve import MAX_GRID_POINTS, _refuse_range, grid_defects, scattering_grid
 from .specfile import graph_to_spec, load_spec, locals_from_spec, spec_to_dict
-from .spectral import _eigenmomenta, find_poles, secular_polynomial
+from .spectral import eigenmomenta, find_poles, secular_polynomial
 
 __all__ = ["main", "build_parser"]
 
@@ -306,7 +306,7 @@ def cmd_poles(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _, g, locs, idx = _load_system(args.graph)
-    roots = _eigenmomenta(g, locs, idx, args.p_min, args.p_max)
+    roots = eigenmomenta(g, locs, idx, args.p_min, args.p_max)
     doc = {"command": "spectrum", "p_min": args.p_min, "p_max": args.p_max,
            "p": [p for p, _ in roots], "multiplicity": [k for _, k in roots]}
     _emit(args, lambda: doc, ["p", "multiplicity"], roots)

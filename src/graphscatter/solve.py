@@ -92,17 +92,17 @@ def _solve(m: np.ndarray, b: np.ndarray):
     return out, singular
 
 
-def _probe_block(n: int) -> np.ndarray:
-    """The fixed n-by-_PROBES probe block Omega, whose entries have
+def _probe_block(n: int, columns: int = _PROBES) -> np.ndarray:
+    """The fixed n-by-columns probe block Omega, whose entries have
     independent standard normal real and imaginary parts: a splitmix64
     hash of a counter gives uniforms in (0, 1], Box-Muller turns each
     pair into r e^{i theta}. It leaves numpy.random unimported."""
-    z = np.arange(1, 2 * n * _PROBES + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = np.arange(1, 2 * n * columns + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     u = ((z >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0 ** -53
-    radius, turn = u.reshape(2, n, _PROBES)
+    radius, turn = u.reshape(2, n, columns)
     return np.sqrt(-2.0 * np.log(radius)) * np.exp(2j * pi * turn)
 
 
@@ -197,11 +197,13 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
     return stack, near
 
 
-def _one_point(g: Graph, locals_, idx: ModeIndex, p: complex):
+def _one_point(g: Graph, locals_, idx: ModeIndex, p: complex, sigmas: bool = True):
     """(S_tot, core, sigma_min, sigma_max) at one momentum, from the
-    grid engine; raises NearPole with the exact singular values."""
+    grid engine; raises NearPole with the exact singular values. The
+    singular values are NaN for a graph without internal edges, and
+    they are computed only for the raise unless sigmas is set."""
     ((_, s_tot, m, core, _, near),) = _resolvent_chunks(g, locals_, idx, [p])
-    if g.n_internal == 0:
+    if g.n_internal == 0 or not (sigmas or near[0]):
         return s_tot[0], core[0], nan, nan
     sigma = np.linalg.svd(m[0], compute_uv=False)
     if near[0]:
@@ -226,7 +228,7 @@ def internal_modes(g: Graph, locals_, idx: ModeIndex, p: complex, external) -> n
         raise SizeMismatch(
             "external vector has shape %r, expected (%d,)" % (a.shape, g.n_external)
         )
-    _, core, _, _ = _one_point(g, locals_, idx, -p)
+    _, core, _, _ = _one_point(g, locals_, idx, -p, sigmas=False)
     return core @ a
 
 
@@ -296,8 +298,8 @@ def verify_involution(g: Graph, locals_, idx: ModeIndex, p: complex) -> float:
     """Max-norm of S_tot(p) S_tot(-p) - I."""
     if g.n_external == 0:
         return 0.0
-    s_plus = total_scattering(g, locals_, idx, p).matrix
-    s_minus = total_scattering(g, locals_, idx, -p).matrix
+    s_plus = _one_point(g, locals_, idx, p, sigmas=False)[0]
+    s_minus = _one_point(g, locals_, idx, -p, sigmas=False)[0]
     return float(_involution_defect(s_plus, s_minus))
 
 
@@ -306,4 +308,4 @@ def verify_unitarity(g: Graph, locals_, idx: ModeIndex, p: complex) -> float:
     with unitary vertex matrices."""
     if g.n_external == 0:
         return 0.0
-    return float(_unitarity_defect(total_scattering(g, locals_, idx, p).matrix))
+    return float(_unitarity_defect(_one_point(g, locals_, idx, p, sigmas=False)[0]))

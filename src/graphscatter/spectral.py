@@ -9,10 +9,16 @@ Smilansky, Ann. Phys. 274, 76, 1999): every directed internal slot of
 length m * unit owns m bonds, each bond hands its amplitude on to the
 next one, and the last bond of slot s applies row partner(s) of s22.
 Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U). secular_polynomial
-builds U once and keeps it, with its one eigendecomposition, beside
-the lead couplings; that eigendecomposition gives the polynomial, the
-poles with their multiplicities and the residues that tell genuine
-poles from removable determinant zeros.
+builds U once and keeps it, with its one eigendecomposition
+U = V diag(lambda) V^-1, beside the lead couplings. That
+eigendecomposition gives the polynomial, and find_poles reads the
+poles with their multiplicities from it: the rows of V^-1 are the left
+eigenvectors (Golub & Van Loan, Matrix Computations, sec. 7.2), so the
+error bound of every eigenvalue and the lead couplings s12 V and
+V^-1 E(0) s21, whose products are the residues that tell genuine poles
+from removable determinant zeros, cost one inverse. Only where V^-1 V
+is far from I, on Jordan blocks and nilpotent bond chains, is U^T
+decomposed as well.
 
 Compact spectra need no commensurability: for constant unitary vertex
 matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
@@ -48,7 +54,8 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, ModeIndex
-from .solve import MAX_GRID_POINTS, _chunks, _refuse_phase_overflow, _refuse_range, _solve
+from .solve import (MAX_GRID_POINTS, _chunks, _probe_block, _refuse_phase_overflow, _refuse_range,
+                    _solve)
 
 __all__ = [
     "SecularPolynomial",
@@ -57,6 +64,7 @@ __all__ = [
     "secular_polynomial",
     "find_poles",
     "compact_spectrum",
+    "eigenmomenta",
     "symmetry_factor_check",
 ]
 
@@ -64,6 +72,12 @@ __all__ = [
 FIT_RTOL = 1e-9
 # roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
+# V^-1 stands for the left eigenvectors when max |V^-1 V - I| is this small
+BIORTHOGONAL_TOL = 1e-8
+# a lead coupling of a simple eigenvalue within this factor of its
+# rounding noise is zero: on 665 test systems removable ones came within
+# 394 times it and genuine ones no nearer than 6.8e5 times
+COUPLING_SLACK = 1e4
 TWO_PI = 2.0 * math.pi
 # trapezoid nodes on the contour around a window of a compact spectrum,
 # and its ellipse's height over half-width: a flat ellipse keeps the
@@ -88,14 +102,15 @@ CUT_GAP = 1e-6
 @dataclass(frozen=True)
 class BondSystem:
     """What find_poles reads of one system: the unit bond matrix u with
-    its eigenvalues and right eigenvectors from one np.linalg.eig, the
-    first and last bond index of every slot, the lead blocks s12 and
-    E(0) s21 (s21 with the two slots of every edge swapped) and the
-    largest 2-norm of a vertex matrix."""
+    its eigenvalues and right eigenvectors from one np.linalg.eig, its
+    2-norm, the first and last bond index of every slot, the lead
+    blocks s12 and E(0) s21 (s21 with the two slots of every edge
+    swapped) and the largest 2-norm of a vertex matrix."""
 
     u: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    norm: float
     first: np.ndarray
     last: np.ndarray
     s12: np.ndarray
@@ -227,8 +242,15 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
                 raise FitResidualTooLarge(
                     "polynomial residual %.3e at held-out point" % abs(fitted - direct)
                 )
+        # U is a shift on the chain bonds plus rows of s22 on the last
+        # bonds, in disjoint rows and columns, so ||U|| is the larger of 1
+        # (with a chain) and ||s22||, the largest 2-norm of the internal
+        # block of a vertex matrix (its external slots come first)
         vertex_norm = max(np.linalg.norm(loc.constant, 2) for loc in resolved)
-        bond = BondSystem(u, eigs, right, first, last, blocks.ext_int,
+        u_norm = max(float(degree > len(powers)), *(
+            np.linalg.norm(loc.constant[len(ext):, len(ext):], 2)
+            for loc, ext in zip(resolved, idx.vertex_external)))
+        bond = BondSystem(u, eigs, right, float(u_norm), first, last, blocks.ext_int,
                           blocks.int_ext[list(idx.partner)], float(vertex_norm))
 
     coeffs.flags.writeable = False
@@ -236,28 +258,51 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
                              slot_powers=powers, bond=bond)
 
 
-def _eigen_groups(u: np.ndarray, eigen=None):
-    """Eigenvalues of u grouped into distinct roots; eigen is the
-    (eigenvalues, right eigenvectors) pair of np.linalg.eig(u) when the
-    caller already has it.
+def _left_rows(right: np.ndarray):
+    """V^-1 for the right eigenvectors V when it passes the certificate
+    max |V^-1 V - I| <= BIORTHOGONAL_TOL with every entry finite, else
+    None (V singular, as on Jordan blocks and nilpotent bond chains)."""
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        defect = np.abs(left @ right - np.eye(len(right)))
+    if np.all(np.isfinite(left)) and np.max(defect, initial=0.0) <= BIORTHOGONAL_TOL:
+        return left
+    return None
 
-    Each eigenvalue has the first-order error bound
-    eps ||u|| / |w_k^H v_k| (unit left and right eigenvectors). Two
-    eigenvalues join a group when they lie within ROOT_DEDUP_TOL of
-    each other or within 16 times the smaller of their two bounds,
-    which keeps the split copies of a Jordan block together. The left
-    eigenvectors w are the conjugated eigenvectors of u^T (V^-1 is
-    singular on exactly nilpotent bond chains). Since w_j^H v_k = 0
-    for distinct eigenvalues, |w_k^H v_k| is the largest overlap of
-    v_k with any w, and each w joins the group of the nearest
-    eigenvalue. Returns the eigenvalues, the right eigenvectors, the
-    left eigenvectors of each group and each group's index array.
+
+def _eigen_groups(u: np.ndarray, eigen=None, norm=None):
+    """Eigenvalues of u grouped into distinct roots; eigen is the
+    (eigenvalues, right eigenvectors) pair of np.linalg.eig(u) and norm
+    is ||u||_2 when the caller already has them.
+
+    The rows w_k^H of V^-1 (_left_rows) are the left eigenvectors with
+    w_k^H v_k = 1, so with unit right eigenvectors each eigenvalue has
+    the first-order error bound eps ||u|| ||w_k||. Two eigenvalues join
+    a group when they lie within ROOT_DEDUP_TOL of each other or within
+    16 times the smaller of their two bounds, which keeps the split
+    copies of a Jordan block together. When V fails its certificate the
+    left eigenvectors come from a second np.linalg.eig, of u^T: since
+    w_j^H v_k = 0 for distinct eigenvalues, |w_k^H v_k| of the unit left
+    vectors is the largest overlap of v_k with any of them, each one
+    joins the group of the nearest eigenvalue, and the rows W_g^H of a
+    group are scaled to (W_g^H V_g)^-1 W_g^H. Returns the eigenvalues,
+    the right eigenvectors, the rows W^H with W_g^H V_g = I on every
+    group (NaN on a group that got more or fewer left than right
+    eigenvectors, or a singular W_g^H V_g) and each group's index array.
     """
     lam, right = np.linalg.eig(u) if eigen is None else eigen
-    mu, left = np.linalg.eig(u.T)
-    overlap = np.max(np.abs(left.T @ right), axis=0)
-    with np.errstate(divide="ignore"):
-        bound = np.finfo(float).eps * np.linalg.norm(u, 2) / overlap
+    norm = np.linalg.norm(u, 2) if norm is None else norm
+    left = _left_rows(right)
+    if left is None:
+        mu, unit_left = np.linalg.eig(u.T)
+        with np.errstate(divide="ignore"):
+            spread = 1.0 / np.max(np.abs(unit_left.T @ right), axis=0)
+    else:
+        spread = np.linalg.norm(left, axis=1)
+    bound = np.finfo(float).eps * norm * spread
     reach = np.maximum(16.0 * np.minimum.outer(bound, bound), ROOT_DEDUP_TOL)
     linked = np.abs(lam[:, None] - lam[None, :]) <= reach
     group_of = np.arange(len(lam))
@@ -269,27 +314,52 @@ def _eigen_groups(u: np.ndarray, eigen=None):
         group_of = merged
     labels = np.unique(group_of)
     groups = [np.flatnonzero(group_of == label) for label in labels]
-    left_group = group_of[np.argmin(np.abs(mu[:, None] - lam[None, :]), axis=1)]
-    lefts = [left[:, left_group == label].conj() for label in labels]
-    return lam, right, lefts, groups
+    if left is None:
+        left = np.full_like(right, np.nan)
+        left_group = group_of[np.argmin(np.abs(mu[:, None] - lam[None, :]), axis=1)]
+        for members, label in zip(groups, labels):
+            rows = unit_left[:, left_group == label].T
+            if len(rows) == len(members):
+                try:
+                    left[members] = np.linalg.solve(rows @ right[:, members], rows)
+                except np.linalg.LinAlgError:
+                    pass
+    return lam, right, left, groups
 
 
-def _removable(bond: BondSystem, v_g, w_g, noise: float) -> bool:
-    """Whether the residue of S_tot at one eigenvalue group, the norm of
-    s12 P_g E(0) s21 for the spectral projector
-    P_g = V_g (W_g^H V_g)^-1 W_g^H (first-bond rows, last-bond columns),
-    is at most noise s ||(W_g^H V_g)^-1|| with s = bond.vertex_norm. The
-    residue is divided by s instead, so that huge vertex entries
-    overflow no intermediate. A group whose W_g^H V_g is not square (it
-    got more or fewer left than right eigenvectors) or is exactly
-    singular is not resolved, and never called removable."""
-    try:
-        inverse = np.linalg.inv(w_g.conj().T @ v_g)
-    except np.linalg.LinAlgError:
-        return False
-    coupling = inverse @ w_g[bond.last].conj().T @ bond.e0_s21
-    residue = np.linalg.norm(bond.s12 @ v_g[bond.first] @ coupling, 2)
-    return bool(residue / bond.vertex_norm <= noise * np.linalg.norm(inverse, 2))
+def _removable(bond: BondSystem, right: np.ndarray, left: np.ndarray, groups) -> list[bool]:
+    """Whether each eigenvalue group's residue in S_tot vanishes.
+
+    The residue is R_g L_g with the lead couplings R = s12 V (first-bond
+    rows) and L = W^H E(0) s21 (last-bond columns), both divided by s,
+    the largest 2-norm of a vertex matrix, so that huge vertex entries
+    overflow nothing. Their rounding noise is eps ||U|| and
+    eps ||U|| ||w_k|| for a unit right and a left eigenvector w_k with
+    w_k^H v_k = 1. A simple eigenvalue's residue is the outer product of
+    its two couplings, so it is removable when either one is within
+    COUPLING_SLACK of its noise; a product of two small couplings can
+    be a genuine pole. In a larger group the couplings of its members
+    can cancel, so its residue itself is tested,
+    ||R_g L_g||_2 <= eps ||U|| ||W_g||_2. A group without finite left
+    rows is not resolved, and never called removable.
+    """
+    if not len(bond.s12):
+        return [False] * len(groups)
+    noise = np.finfo(float).eps * bond.norm
+    to_leads = (bond.s12 / bond.vertex_norm) @ right[bond.first]
+    from_leads = left[:, bond.last] @ (bond.e0_s21 / bond.vertex_norm)
+    weaker = np.minimum(np.linalg.norm(to_leads, axis=0),
+                        np.linalg.norm(from_leads, axis=1) / np.linalg.norm(left, axis=1))
+    removable = []
+    for members in groups:
+        if len(members) == 1:
+            removable.append(bool(weaker[members[0]] <= COUPLING_SLACK * noise))
+        else:
+            w = left[members]
+            residue = to_leads[:, members] @ from_leads[members]
+            removable.append(bool(np.all(np.isfinite(w)) and np.linalg.norm(residue, 2)
+                                  <= noise * np.linalg.norm(w, 2)))
+    return removable
 
 
 def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list[PoleRecord]:
@@ -297,27 +367,25 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
 
     The roots are the nonzero eigenvalues of the unit bond matrix U
     kept in poly.bond, grouped as in _eigen_groups (multiplicity =
-    group size) and sorted by modulus then argument. A group is
-    removable when its residue in the total scattering matrix is at most
-    the rounding noise of computing it, eps ||U|| s^2 ||(W_g^H V_g)^-1||
-    with s the largest 2-norm of a vertex matrix (_removable); removable
-    groups are dropped unless include_removable is set. For a compact
-    graph every root is kept since there is no external block.
+    group size) from the one eigendecomposition that secular_polynomial
+    made, and sorted by modulus then argument. A group is removable
+    when its residue in the total scattering matrix vanishes to the
+    rounding noise of computing it (_removable); removable groups are
+    dropped unless include_removable is set. For a compact graph every
+    root is kept since there is no external block.
     """
     if poly.degree_bound == 0:
         raise DegenerateConstantPolynomial("graph has no internal edges; determinant is constant")
     bond = poly.bond
-    lam, right, lefts, groups = _eigen_groups(bond.u, (bond.eigenvalues, bond.eigenvectors))
-    noise = np.finfo(float).eps * np.linalg.norm(bond.u, 2) * bond.vertex_norm
-
+    lam, right, left, groups = _eigen_groups(bond.u, (bond.eigenvalues, bond.eigenvectors),
+                                             bond.norm)
     records = []
-    for members, left in zip(groups, lefts):
+    for members, removable in zip(groups, _removable(bond, right, left, groups)):
         zeta = complex(np.mean(lam[members]))
         if abs(zeta) <= ROOT_DEDUP_TOL:
             continue
         if abs(zeta.imag) <= ROOT_DEDUP_TOL:
             zeta = complex(zeta.real, 0.0)
-        removable = len(bond.s12) > 0 and _removable(bond, right[:, members], left, noise)
         if removable and not include_removable:
             continue
         p = 1j * cmath.log(zeta) / poly.unit_length
@@ -501,9 +569,11 @@ def _split_point(p: np.ndarray, a: float, b: float) -> float:
     return float(middles[np.argmin(np.abs(middles - c))]) if len(middles) else c
 
 
-def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
+def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     """Distinct eigenmomenta in [p_min, p_max] as sorted
-    (p, multiplicity) pairs.
+    (p, multiplicity) pairs of a graph without external edges, whose
+    vertex matrices must be constant and unitary (compact_spectrum
+    lists the momenta alone).
 
     For constant unitary vertex matrices U(p) = E(-p) s22 is unitary
     with det U(p) = exp(i p sum(lengths)) det(E(0) s22), so its
@@ -549,7 +619,7 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     # array of them that the address space or the memory cannot hold
     np.empty(round(total))
     system = (idx, bond)
-    probe = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
+    probe = _probe_block(n, n)
     cap = max(1, n // 2)
     windows, roots = [(lo, hi)], []
     while windows:
@@ -578,6 +648,10 @@ def _eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float)
     return [tuple(r) for r in roots]
 
 
+# the private name, kept for callers that still use it
+_eigenmomenta = eigenmomenta
+
+
 def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     """Real zeros of the secular determinant on [p_min, p_max] for a
     graph without external edges, as sorted distinct floats.
@@ -586,11 +660,11 @@ def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: flo
     ValidationError is raised. The roots are counted exactly on the
     eigenphases of the unitary U(p) = E(-p) s22 and placed by a contour
     integral of (I - U(p))^-1 over windows of the range
-    (_eigenmomenta); roots within ROOT_DEDUP_TOL of each other are
+    (eigenmomenta); roots within ROOT_DEDUP_TOL of each other are
     reported once. A window whose roots cannot be placed to match its
     count raises a NumericalError.
     """
-    return [p for p, _ in _eigenmomenta(g, locals_, idx, p_min, p_max)]
+    return [p for p, _ in eigenmomenta(g, locals_, idx, p_min, p_max)]
 
 
 def _sign_multiset(colour_matrices) -> list[tuple[tuple[int, ...], int]]:

@@ -166,3 +166,16 @@ def system(g, rng=None, unitary=False, locals_=None):
     if locals_ is None:
         locals_ = random_locals(rng, g, idx, unitary=unitary)
     return g, locals_, idx
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gets the arguments of every later call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

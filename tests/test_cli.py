@@ -13,6 +13,7 @@ from graphscatter import (
     ValidationError,
     build_graph,
     compact_spectrum,
+    eigenmomenta,
     load_spec,
     locals_from_spec,
     mode_index,
@@ -24,6 +25,7 @@ from graphscatter.assemble import assemble_blocks, assemble_propagation
 from graphscatter.cli import main
 from graphscatter.solve import NEAR_POLE_RTOL
 from graphscatter.specfile import spec_to_dict
+from _helpers import count_calls
 
 
 def gen(tmp_path, name):
@@ -437,6 +439,56 @@ def test_sweeps_leave_numpy_random_unimported(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded, after = done.stdout.split()
     assert after == loaded
+
+
+def test_spectrum_leaves_numpy_random_unimported(tmp_path):
+    # as test_sweeps_leave_numpy_random_unimported, for the contour probe
+    box = gen(tmp_path, "interval_compact")
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "import graphscatter.cli as cli\n"
+        "graph, out = sys.argv[1:]\n"
+        "argv = ['spectrum', '--graph', graph, '--p-min', '0.1', '--p-max', '20', '--out', out]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, box, str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, after = done.stdout.split()
+    assert after == loaded
+    assert len(read_json(tmp_path / "out.json")["p"]) == 6
+
+
+def test_poles_run_decomposes_the_bond_matrix_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eig")
+    for name in ("dodecahedron", "fabry_perot", "tadpole"):
+        graph = gen(tmp_path, name)
+        assert main(["poles", "--graph", graph, "--include-removable",
+                     "--out", str(tmp_path / "poles.json")]) == 0
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_library_eigenmomenta_match_spectrum_output(tmp_path):
+    edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+    path = tmp_path / "k4.json"
+    save_spec(GraphSpec(4, edges, ()), path)
+    out = tmp_path / "k4.out.json"
+    assert main(["spectrum", "--graph", str(path), "--p-min", "0.1", "--p-max", "7",
+                 "--out", str(out)]) == 0
+    doc = read_json(out)
+    spec = load_spec(str(path))
+    g = build_graph(spec)
+    pairs = eigenmomenta(g, locals_from_spec(spec, g), mode_index(g), 0.1, 7.0)
+    assert pairs == list(zip(doc["p"], doc["multiplicity"]))
+    assert [p for p, _ in pairs] == compact_spectrum(g, locals_from_spec(spec, g),
+                                                     mode_index(g), 0.1, 7.0)
 
 
 def test_equiv_compact_graphs(tmp_path):

@@ -22,7 +22,7 @@ from graphscatter import (
 )
 from graphscatter import solve
 from graphscatter.assemble import assemble_blocks, assemble_propagation
-from _helpers import nonpole_momentum, random_graph, random_locals
+from _helpers import count_calls, nonpole_momentum, random_graph, random_locals
 
 
 def test_line2_closed_form():
@@ -296,3 +296,25 @@ def test_probe_certificate_bounds_kappa_and_keeps_exact_flags():
     # both branches: cleared by the probe, and left to the exact SVD
     assert cleared.any() and not cleared.all()
     assert not np.any(np.array(near)[cleared])
+
+
+def test_exact_singular_values_only_where_read(monkeypatch):
+    # internal_modes and the verify helpers read no singular values at a
+    # point the probe clears; total_scattering reports them, and a point
+    # near a pole raises with them
+    fix = canonical("fabry_perot")
+    g, locs, idx = fix.graph, list(fix.locals), mode_index(fix.graph)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    internal_modes(g, locs, idx, 0.9, np.ones(2))
+    verify_involution(g, locs, idx, 0.9)
+    verify_unitarity(g, locs, idx, 0.9)
+    assert calls == []
+    lo, hi = total_scattering(g, locs, idx, 0.9).condition_report
+    assert len(calls) == 1 and 0 < lo <= hi
+
+    # a bound state at p = pi on the lead-decoupled edge
+    g = build_graph(GraphSpec(2, ((0, 1, 1.0),), (0,)))
+    locs = [constant_local(0, [[1.0, 0.0], [0.0, -1.0]]), constant_local(1, [[-1.0]])]
+    with pytest.raises(NearPole) as err:
+        internal_modes(g, locs, mode_index(g), np.pi, np.ones(1))
+    assert 0 <= err.value.sigma_min <= solve.NEAR_POLE_RTOL * err.value.sigma_max

@@ -29,7 +29,7 @@ from graphscatter import (
     tetra2_local,
 )
 from graphscatter import solve, spectral
-from _helpers import compact_rational_ring, random_graph, random_locals
+from _helpers import compact_rational_ring, count_calls, random_graph, random_locals
 
 
 def interval_system(r1=-1.0, r2=-1.0, length=1.0):
@@ -611,3 +611,118 @@ def test_find_poles_keeps_genuine_pole_with_small_residue():
 
     growth = peak(rec.zeta * (1 + 1e-12)) / peak(rec.zeta * (1 + 1e-11))
     assert 8.0 < growth < 12.0
+
+
+# --- poles from one eigendecomposition ----------------------------------
+
+
+def well_conditioned_polynomials():
+    g, _ = platonic("tetrahedron")
+    idx = mode_index(g)
+    yield secular_polynomial(g, [tetra2_local(v) for v in range(4)], idx, 1.0)
+    g, _ = platonic("dodecahedron")
+    idx = mode_index(g)
+    yield secular_polynomial(g, [tetra2_local(v) for v in range(20)], idx, 1.0)
+    fix = canonical("fabry_perot")
+    yield secular_polynomial(fix.graph, list(fix.locals), mode_index(fix.graph), 1.0)
+    yield secular_polynomial(*lead_ring(30, 3), 1.0)
+    yield secular_polynomial(*snapped_random_system(5, 281), 0.5)
+
+
+def test_find_poles_decomposes_nothing_on_well_conditioned_systems(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eig")
+    for poly in well_conditioned_polynomials():
+        assert len(calls) == 1
+        bond = poly.bond
+        assert spectral._left_rows(bond.eigenvectors) is not None
+        records = find_poles(poly, include_removable=True)
+        assert len(calls) == 1
+        assert sum(rec.multiplicity for rec in records) <= poly.degree_bound
+        calls.clear()
+
+
+def test_eigen_groups_fallback_matches_inverse(monkeypatch):
+    # left rows from a second eig, of u^T, give the groups, the
+    # biorthogonal rows and the poles that V^-1 gives
+    polys = list(well_conditioned_polynomials())
+    want = []
+    for poly in polys:
+        bond = poly.bond
+        eigen = (bond.eigenvalues, bond.eigenvectors)
+        want.append((spectral._eigen_groups(bond.u, eigen, bond.norm),
+                     find_poles(poly, include_removable=True)))
+    monkeypatch.setattr(spectral, "_left_rows", lambda right: None)
+    for poly, ((lam, right, left, groups), records) in zip(polys, want):
+        bond = poly.bond
+        got = spectral._eigen_groups(bond.u, (bond.eigenvalues, bond.eigenvectors), bond.norm)
+        assert [list(m) for m in got[3]] == [list(m) for m in groups]
+        simple = np.concatenate([m for m in groups if len(m) == 1])
+        scale = np.linalg.norm(left[simple], axis=1, keepdims=True)
+        assert np.max(np.abs(got[2][simple] - left[simple]) / scale) < 1e-8
+        assert find_poles(poly, include_removable=True) == records
+
+
+def test_find_poles_falls_back_where_inverse_fails(monkeypatch):
+    # nilpotent bond chains on the pendant edges make V singular
+    g = build_graph(
+        GraphSpec(5, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (0, 3, 2.0), (2, 4, 3.0)), (3, 4, 1))
+    )
+    idx = mode_index(g)
+    poly = secular_polynomial(g, [kirchhoff_local(v, g.degree(v)) for v in range(5)], idx, 1.0)
+    bond = poly.bond
+    assert spectral._left_rows(bond.eigenvectors) is None
+    calls = count_calls(monkeypatch, np.linalg, "eig")
+    records = find_poles(poly, include_removable=True)
+    assert [len(a) for a, in calls] == [poly.degree_bound]
+    lam, right, left, groups = spectral._eigen_groups(bond.u, (bond.eigenvalues,
+                                                                bond.eigenvectors), bond.norm)
+    zero = [m for m in groups if np.max(np.abs(lam[m])) <= 1e-8]
+    assert sum(len(m) for m in zero) == poly.degree_bound - sum(r.multiplicity for r in records)
+    for members in groups:
+        if np.all(np.isfinite(left[members])):
+            product = left[members] @ right[:, members]
+            assert np.max(np.abs(product - np.eye(len(members)))) < 1e-10
+    values = np.linalg.eigvals(bond.u)
+    for rec in records:
+        assert np.min(np.abs(values - rec.zeta)) < 1e-10
+
+
+def contour_residue(g, locs, idx, unit, zeta, radius, nodes=16):
+    """(1 / 2 pi i) times the integral of S_tot over the circle of the
+    given radius around zeta, by the trapezoid rule: the residue of the
+    one pole inside, or rounding noise of order eps radius |S_tot|."""
+    blocks = assemble_blocks(g, locs, idx, 0.0)
+    total = 0.0
+    for w in np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes):
+        p = 1j * np.log(zeta + radius * w) / unit
+        m = assemble_propagation(g, idx, p).matrix - blocks.int_int
+        s = blocks.ext_ext + blocks.ext_int @ np.linalg.solve(m, blocks.int_ext)
+        total = total + s * radius * w
+    return np.linalg.norm(total / nodes, 2)
+
+
+def test_find_poles_keeps_bound_state_pairs_with_two_small_couplings():
+    # each system has a conjugate pair with |zeta| - 1 ~ 1e-15 whose two
+    # lead couplings are small but far above rounding (9.4e-10 and 7.3e-7,
+    # 1.3e-6 and 8.6e-10): a residue near 1e-15, which a bound on the
+    # product of the couplings called removable
+    for k, pair in ((178, -0.011827389148249 + 0.999930053986746j),
+                    (187, 0.499622910824912 + 0.866243006885966j)):
+        g, locs, idx = snapped_random_system(7, k)
+        poly = secular_polynomial(g, locs, idx, 0.5)
+        records = find_poles(poly, include_removable=True)
+        for zeta in (pair, pair.conjugate()):
+            (rec,) = [rec for rec in records if abs(rec.zeta - zeta) < 1e-12]
+            assert rec.multiplicity == 1 and not rec.removable
+        # independent of the engine: a simple pole's contour residue is the
+        # same on two circles, rounding noise shrinks with the radius
+        values = np.linalg.eigvals(poly.bond.u)
+        for rec in records:
+            gap = np.sort(np.abs(values - rec.zeta))[1]
+            if rec.multiplicity > 1 or gap < 1e-3:
+                continue
+            wide, narrow = (contour_residue(g, locs, idx, 0.5, rec.zeta, r * gap)
+                            for r in (1e-3, 1e-4))
+            assert rec.removable == (abs(wide - narrow) > 0.5 * wide), (rec, wide, narrow)
+            if not rec.removable:
+                assert wide > 1e-16
