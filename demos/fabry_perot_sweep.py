@@ -11,7 +11,7 @@ so you can see the resonance comb sharpen as the mirrors get better.
 
 import numpy as np
 
-from graphscatter import canonical, mode_index, total_scattering
+from graphscatter import canonical, mode_index, scattering_grid
 
 
 def closed_forms(r, d, p):
@@ -28,8 +28,9 @@ def main():
         idx = mode_index(fix.graph)
         print("mirror reflectivity r = %.1f" % r)
         print("   p      |T|^2     |R|^2    closed-form gap")
-        for p in np.linspace(0.2, 2 * np.pi, 13):
-            s = total_scattering(fix.graph, fix.locals, idx, p).matrix
+        momenta = np.linspace(0.2, 2 * np.pi, 13)
+        stack, _ = scattering_grid(fix.graph, fix.locals, idx, momenta)
+        for p, s in zip(momenta, stack):
             t_ref, r_ref = closed_forms(r, d, p)
             gap = max(abs(s[1, 0] - t_ref), abs(s[0, 0] - r_ref))
             print(

@@ -13,7 +13,7 @@ sweep, then shows one S_tot side by side.
 
 import numpy as np
 
-from graphscatter import mode_index, total_scattering, triangle_and_star_pair
+from graphscatter import mode_index, scattering_grid, total_scattering, triangle_and_star_pair
 
 
 def main():
@@ -27,11 +27,10 @@ def main():
         star.graph.vertex_count, star.graph.n_internal, star.graph.n_external))
     print()
 
-    worst = 0.0
-    for p in np.linspace(0.2, 6.0, 25):
-        s_tri = total_scattering(tri.graph, tri.locals, tri_idx, p).matrix
-        s_star = total_scattering(star.graph, star.locals, star_idx, p).matrix
-        worst = max(worst, float(np.max(np.abs(s_tri - s_star))))
+    momenta = np.linspace(0.2, 6.0, 25)
+    s_tri, _ = scattering_grid(tri.graph, tri.locals, tri_idx, momenta)
+    s_star, _ = scattering_grid(star.graph, star.locals, star_idx, momenta)
+    worst = float(np.max(np.abs(s_tri - s_star)))
     print("max |S_triangle - S_star| over 25 momenta: %.3e" % worst)
     print()
 

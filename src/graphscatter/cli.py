@@ -2,7 +2,9 @@
 
 Subcommands: stot, poles, spectrum, verify, equiv, generate. Output is
 a pure function of the input file and flags; reruns are byte
-identical. Exit codes: 0 success, 1 file or parse problem, 2 invalid
+identical, except that the last digits of a pole's zeta can move with
+the BLAS thread count (the order, multiplicities and removability of
+the poles do not). Exit codes: 0 success, 1 file or parse problem, 2 invalid
 input data (non-finite numbers included), 3 numerical failure
 (including verify/equiv tolerance violations, stray numpy LinAlgErrors
 and running out of memory).

@@ -368,11 +368,12 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
     The roots are the nonzero eigenvalues of the unit bond matrix U
     kept in poly.bond, grouped as in _eigen_groups (multiplicity =
     group size) from the one eigendecomposition that secular_polynomial
-    made, and sorted by modulus then argument. A group is removable
-    when its residue in the total scattering matrix vanishes to the
-    rounding noise of computing it (_removable); removable groups are
-    dropped unless include_removable is set. For a compact graph every
-    root is kept since there is no external block.
+    made, and sorted by modulus rounded to 9 places, then by the real
+    part of p_representative (decreasing argument). A group is
+    removable when its residue in the total scattering matrix vanishes
+    to the rounding noise of computing it (_removable); removable groups
+    are dropped unless include_removable is set. For a compact graph
+    every root is kept since there is no external block.
     """
     if poly.degree_bound == 0:
         raise DegenerateConstantPolynomial("graph has no internal edges; determinant is constant")
@@ -390,7 +391,10 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
             continue
         p = 1j * cmath.log(zeta) / poly.unit_length
         records.append(PoleRecord(zeta, p, multiplicity=len(members), removable=removable))
-    records.sort(key=lambda r: (abs(r.zeta), cmath.phase(r.zeta)))
+    # moduli to 9 places, so that a conjugate pair keeps its order when the
+    # last bits of its moduli move with the BLAS thread count; then by
+    # Re p = -arg(zeta) / unit
+    records.sort(key=lambda r: (round(abs(r.zeta), 9), r.p_representative.real))
     return records
 
 
@@ -403,15 +407,17 @@ def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
     of the Hermitian H = i (I - cU)(I + cU)^-1, c = exp(-i beta), so a
     solve and an eigvalsh give every phase. H is singular at
     phi = beta + pi, which is therefore kept mid-way across the widest
-    gap of the last spectrum. That gap spans at least 2 pi / n, so
-    ||H|| < cot(pi / 2n) < n there; a sample with ||H|| > n is redone,
-    and phases near 0 come out accurate to about eps ||H||. The first
-    sample and an exactly singular H use the eigenvalues of U.
+    gap of the last spectrum, starting from beta = 0. That gap spans at
+    least 2 pi / n, so ||H|| < cot(pi / 2n) < n there; a sample with
+    ||H|| > n is redone once with beta moved to the widest gap of its
+    own phases, and phases near 0 come out accurate to about eps ||H||.
+    Only an exactly singular I + cU, or a second sample that fails too,
+    falls back to the eigenvalues of U.
     """
     n = len(lengths)
     eye = np.eye(n)
     total = float(np.sum(lengths))
-    beta = None
+    beta = 0.0
 
     def summary(p, phi):
         # also moves beta + pi to the middle of the widest gap of phi
@@ -424,7 +430,7 @@ def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
 
     def sample(p):
         u = np.exp(1j * p * lengths)[:, None] * bond
-        for _ in range(0 if beta is None else 2):
+        for _ in range(2):
             cu = cmath.exp(-1j * beta) * u
             try:
                 x = np.linalg.solve(eye + cu, eye - cu)
@@ -559,16 +565,6 @@ def _certified(sample, p: np.ndarray, moved: np.ndarray, a: float, b: float, cou
     return [(float(np.mean(group)), len(group)) for group in groups]
 
 
-def _split_point(p: np.ndarray, a: float, b: float) -> float:
-    """Where to cut (a, b) in two: the middle nearest its centre of a gap
-    wider than ROOT_DEDUP_TOL between the momenta of p in it and its
-    ends, so clear of the eigenmomenta that p approximates."""
-    ends = np.concatenate([[a], np.sort(p[(p > a) & (p < b)]), [b]])
-    middles = 0.5 * (ends[:-1] + ends[1:])[np.diff(ends) > ROOT_DEDUP_TOL]
-    c = 0.5 * (a + b)
-    return float(middles[np.argmin(np.abs(middles - c))]) if len(middles) else c
-
-
 def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     """Distinct eigenmomenta in [p_min, p_max] as sorted
     (p, multiplicity) pairs of a graph without external edges, whose
@@ -581,15 +577,17 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     the principal phases by 2 pi. The eigenmomenta in (a, b], with
     multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
     + sum phi(a)) / 2 pi for any a < b, from two phase samples. The
-    range starts as one window and a window is split in two, at a
-    sample where no phase is near 0, while it holds more than n / 2
-    eigenmomenta (n slots) and is wider than pi / (2 max(lengths)).
-    Beyn's contour integral around a window (_contour_estimates) and
-    two refinement steps (_refine) place its eigenmomenta, and it is
-    kept only when its refined momenta match its count (_certified);
-    otherwise it is split in the same way. A window no wider than
-    ROOT_DEDUP_TOL that still fails raises a NumericalError, and a
-    range holding more eigenmomenta than an array can a MemoryError.
+    range starts as one window. Beyn's contour integral around a window
+    (_contour_estimates) and two refinement steps (_refine) place its
+    eigenmomenta, and it is kept only when its refined momenta match its
+    count (_certified). A window is split in two while it holds more
+    than n / 2 eigenmomenta (n slots) and is wider than
+    pi / (2 max(lengths)), and when its certification fails; both are
+    cut by one rule, at the first sample from its centre in steps of a
+    sixteenth of its width where no phase is near 0 (_cut). A window no
+    wider than ROOT_DEDUP_TOL that still fails raises a NumericalError,
+    and a range holding more eigenmomenta than an array can a
+    MemoryError.
     """
     if g.n_external > 0:
         raise NotCompact("spectrum is defined for graphs without external edges; found %d"
@@ -627,14 +625,13 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
         count = _crossings(lo, hi)
         if count == 0:
             continue
-        p = np.empty(0)
         if count <= cap or hi[0] - lo[0] <= narrow:
             p, moved = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
             found = _certified(sample, p, moved, lo[0], hi[0], count)
             if found is not None:
                 roots += found
                 continue
-        mid = _cut(sample, _split_point(p, lo[0], hi[0]), (hi[0] - lo[0]) / 16)
+        mid = _cut(sample, 0.5 * (lo[0] + hi[0]), (hi[0] - lo[0]) / 16)
         if not (hi[0] - lo[0] > ROOT_DEDUP_TOL and lo[0] < mid[0] < hi[0]):
             raise NumericalError("spectrum: could not place the %d eigenmomenta counted in "
                                  "[%r, %r]" % (count, float(lo[0]), float(hi[0])))

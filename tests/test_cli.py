@@ -14,6 +14,8 @@ from graphscatter import (
     build_graph,
     compact_spectrum,
     eigenmomenta,
+    graph_to_spec,
+    kirchhoff_local,
     load_spec,
     locals_from_spec,
     mode_index,
@@ -473,6 +475,37 @@ def test_poles_run_decomposes_the_bond_matrix_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "poles.json")]) == 0
         assert len(calls) == 1
         calls.clear()
+
+
+def test_poles_order_ignores_blas_thread_count(tmp_path):
+    # the moduli of a conjugate pair differ in their last bits, which move
+    # with the BLAS thread count; the record order must not
+    rng = np.random.default_rng(0)
+    n = 60
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    for _ in range(n // 2):
+        a, b = rng.choice(n, 2, replace=False)
+        edges.append((int(a), int(b), 1.0))
+    leads = tuple(int(v) for v in rng.choice(n, 6, replace=False))
+    g = build_graph(GraphSpec(n, tuple(edges), leads))
+    graph = tmp_path / "ring.json"
+    save_spec(graph_to_spec(g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], unit=1.0),
+              graph)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "graphscatter.cli", "poles", "--graph",
+                               str(graph), "--include-removable"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append([(rec["multiplicity"], rec["removable"], complex(*rec["zeta"]))
+                     for rec in json.loads(done.stdout)["poles"]])
+    one, two = runs
+    assert len(one) == len(two) > 0
+    for a, b in zip(one, two):
+        assert a[:2] == b[:2] and abs(a[2] - b[2]) < 1e-9, (a, b)
 
 
 def test_library_eigenmomenta_match_spectrum_output(tmp_path):

@@ -116,6 +116,14 @@ def test_colouring_validation():
         commuting_colour_matrices(partial)
 
 
+def test_colouring_refuses_empty_and_ragged_tables():
+    with pytest.raises(ValidationError, match="empty colouring"):
+        Colouring(())
+    # reciprocal where both rows have the colour
+    with pytest.raises(ValidationError, match="unequal colour counts"):
+        Colouring(((1, -1), (0,)))
+
+
 def test_triangle_and_star_shapes():
     tri, star = triangle_and_star_pair(0.7, 1.1, 1.3)
     assert tri.graph.vertex_count == 3

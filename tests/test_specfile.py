@@ -114,6 +114,28 @@ def test_missing_and_mistyped_fields_rejected():
         parse_spec(doc)
 
 
+def test_refusals_of_malformed_records():
+    # each input passes every other check, so it fails only on its own
+    for key in ("internal_edges", "external_edges", "vertex_locals"):
+        doc = sample_doc()
+        doc[key] = {}
+        with pytest.raises(SpecFileError, match="%s must be a list" % key):
+            parse_spec(doc)
+    doc = sample_doc()
+    doc["external_edges"][0] = {}
+    with pytest.raises(SpecFileError, match="needs field vertex"):
+        parse_spec(doc)
+    for field in ("vertex", "family"):
+        doc = sample_doc()
+        del doc["vertex_locals"][0][field]
+        with pytest.raises(SpecFileError, match="needs fields vertex and family"):
+            parse_spec(doc)
+    doc = sample_doc()
+    doc["vertex_locals"][2]["matrix"] = []
+    with pytest.raises(SpecFileError, match="nonempty list of rows"):
+        parse_spec(doc)
+
+
 def test_lengths_unit_forms():
     doc = sample_doc()
     doc["lengths_unit"] = "1/2"
@@ -203,6 +225,14 @@ def test_graph_to_spec_round_trip():
     line = canonical("line2")
     with pytest.raises(ValidationError):
         graph_to_spec(line.graph, (wiggly, line.locals[1]))
+
+
+def test_graph_to_spec_refuses_bad_locals():
+    line = canonical("line2")
+    with pytest.raises(ValidationError, match="expects LocalScattering objects"):
+        graph_to_spec(line.graph, (line.locals[0], "kirchhoff"))
+    with pytest.raises(ValidationError, match="vertex 0 has two local matrices"):
+        graph_to_spec(line.graph, (line.locals[0], line.locals[0]))
 
 
 def test_load_spec_error_paths(tmp_path):

@@ -29,7 +29,8 @@ from graphscatter import (
     tetra2_local,
 )
 from graphscatter import solve, spectral
-from _helpers import compact_rational_ring, count_calls, random_graph, random_locals
+from _helpers import (compact_rational_ring, count_calls, random_graph, random_involutive,
+                      random_locals)
 
 
 def interval_system(r1=-1.0, r2=-1.0, length=1.0):
@@ -266,6 +267,31 @@ def test_symmetry_check_rejects_unsuitable_systems():
     tg, tidx = fix.graph, mode_index(fix.graph)
     with pytest.raises(ReductionNotApplicable):
         symmetry_factor_check(tg, list(fix.locals), tidx, [np.eye(1)])
+
+
+def test_symmetry_check_refuses_each_unfit_colouring():
+    # one refusal per check, each named by its message
+    g, col = platonic("tetrahedron")
+    idx = mode_index(g)
+    mats, _ = commuting_colour_matrices(col)
+    kirch = [kirchhoff_local(v, 4) for v in range(4)]
+    swap_12 = np.eye(4)[[0, 2, 1, 3]]
+    householder = np.eye(4) - 0.5 * np.ones((4, 4))
+    rng = np.random.default_rng(0)
+    generic = random_involutive(rng, 0, 4, unitary=True).constant
+    cases = (
+        ([2.0 * mats[0], mats[1], mats[2]], kirch, "not a symmetric involution"),
+        ([mats[0], mats[1], swap_12], kirch, "do not commute"),
+        # symmetric, involutive and commuting with every permutation
+        ([mats[0], mats[1], householder], kirch, "not a perfect pairing"),
+        ([mats[0], mats[1], np.eye(4)], kirch, "does not match the graph"),
+        # the colour order at a vertex differs between vertices, which a
+        # generic vertex matrix sees
+        (mats, [constant_local(v, generic) for v in range(4)], "depends on the vertex"),
+    )
+    for colour_matrices, locs, message in cases:
+        with pytest.raises(ReductionNotApplicable, match=message):
+            symmetry_factor_check(g, locs, idx, colour_matrices)
 
 
 def test_commuting_colour_matrices_properties():
@@ -726,3 +752,85 @@ def test_find_poles_keeps_bound_state_pairs_with_two_small_couplings():
             assert rec.removable == (abs(wide - narrow) > 0.5 * wide), (rec, wide, narrow)
             if not rec.removable:
                 assert wide > 1e-16
+
+
+# --- one path through the spectrum engine -------------------------------
+
+
+def test_phase_sampler_falls_back_to_eigenvalues(monkeypatch):
+    # every sample, the first included, is a Cayley solve and an
+    # eigvalsh; a failed solve gives the same sample from eigvals
+    g, locs, idx = compact_rational_ring(21)
+    bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
+    lengths = np.asarray(idx.slot_length)
+    momenta = np.linspace(0.1, 10.0, 41)
+    calls = count_calls(monkeypatch, np.linalg, "eigvals")
+    sample = spectral._phase_sampler(bond, lengths)
+    want = [sample(p) for p in momenta]
+    assert calls == []
+
+    solves = []
+
+    def singular(*args, **kwargs):
+        solves.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sample = spectral._phase_sampler(bond, lengths)
+    got = [sample(p) for p in momenta]
+    # an exactly singular I + cU is not tried again
+    assert len(solves) == len(calls) == len(momenta)
+    for (p, total, low, high), (q, total_q, low_q, high_q) in zip(got, want):
+        assert p == q
+        assert abs(total - total_q) < 1e-12
+        assert abs(low - low_q) < 1e-12 and abs(high - high_q) < 1e-12
+
+
+def test_eigenmomenta_recover_from_failed_windows(monkeypatch):
+    # six contour nodes misplace roots in some windows; such a window is
+    # cut at its centre like a full one, and the pieces give the roots
+    # found with the default nodes
+    failed = []
+    certified = spectral._certified
+
+    def counted(*args):
+        found = certified(*args)
+        failed.append(found is None)
+        return found
+
+    for seed in (0, 9, 10):
+        g, locs, idx = compact_rational_ring(seed)
+        want = spectral.eigenmomenta(g, locs, idx, 0.1, 10.0)
+        monkeypatch.setattr(spectral, "CONTOUR_NODES", 6)
+        monkeypatch.setattr(spectral, "_certified", counted)
+        failed.clear()
+        got = spectral.eigenmomenta(g, locs, idx, 0.1, 10.0)
+        monkeypatch.undo()
+        assert any(failed), seed
+        assert [k for _, k in got] == [k for _, k in want]
+        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) < 1e-13
+
+
+def test_left_rows_refuse_an_inverse_that_fails_its_check():
+    # unit columns 1e-12 apart: V^-1 is finite, but V^-1 V is off I by
+    # far more than BIORTHOGONAL_TOL
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]) * [1.0, 1.0j]
+    right = turn @ np.array([[1.0, np.cos(1e-12)], [0.0, np.sin(1e-12)]])
+    inverse = np.linalg.inv(right)
+    assert np.all(np.isfinite(inverse))
+    assert np.max(np.abs(inverse @ right - np.eye(2))) > spectral.BIORTHOGONAL_TOL
+    assert spectral._left_rows(right) is None
+    # a Jordan block of size 3 beside a simple eigenvalue, in a random
+    # unitary basis: eig returns nearly parallel vectors for the block,
+    # and the groups come from the eig(u^T) fallback
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = q @ (np.diag([1.0, 1.0, 1.0, 0.5]) + np.diag([1.0, 1.0, 0.0], 1)) @ q.conj().T
+    assert spectral._left_rows(np.linalg.eig(u)[1]) is None
+    lam, right, left, groups = spectral._eigen_groups(u)
+    assert sorted(len(m) for m in groups) == [1, 3]
+    (simple,) = [m[0] for m in groups if len(m) == 1]
+    (block,) = [m for m in groups if len(m) == 3]
+    assert abs(lam[simple] - 0.5) < 1e-12
+    assert abs(left[simple] @ right[:, simple] - 1.0) < 1e-12
+    assert np.max(np.abs(lam[block] - 1.0)) < 1e-4
