@@ -14,23 +14,23 @@ with ``scattering_grid``; ``--workers`` is accepted and ignored.
 
 Each subcommand describes its output once, as a JSON document plus CSV
 header and rows, and ``_emit`` is the single writer that renders the
-requested format to --out or stdout. Its JSON text is exactly that of
-``json.dumps(doc, indent=2, allow_nan=False)``, built without the
-pure-Python encoder that ``indent`` forces: a float ndarray (each S_tot
-matrix of stot) is rendered from one ``%s`` template per shape and
-depth, filled with the ``float.__repr__`` of its values, and the few
-other values are encoded one by one. Non-finite values that are not
-flagged near a pole exit 3 before anything is written.
+requested format to --out or stdout. Its JSON text is that of
+``json.dumps(doc, indent=2, allow_nan=False)``. stot's document alone,
+hundreds of thousands of floats on a large grid, is built as text: its
+matrices are filled into one ``%s`` template per shape with the
+``float.__repr__`` of their values, since ``json.dumps`` with ``indent``
+encodes value by value in pure Python (through Python 3.13 at least).
+Non-finite values that are not flagged near a pole exit 3 before
+anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -140,14 +140,6 @@ def _cell(x) -> str:
     return "%.17g" % x
 
 
-def _float_text(x) -> str:
-    if not math.isfinite(x):
-        raise ValueError("Out of range float values are not JSON compliant: %s"
-                         % float.__repr__(x))
-    return float.__repr__(x)
-
-
-@lru_cache
 def _array_template(shape, depth):
     """The indent=2 JSON text of a nested list of the given shape at the
     given nesting depth, with %s for each value; a zero-length axis
@@ -161,63 +153,19 @@ def _array_template(shape, depth):
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * depth + "]"
 
 
-def _json_pieces(o, depth, out) -> None:
-    """Append the text of json.dumps(o, indent=2, allow_nan=False), o
-    nested depth levels deep, to the list out, piece by piece. Takes
-    only what the CLI emits: dicts with str keys, lists, tuples, str,
-    int, bool, None, float and float ndarrays."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, np.ndarray) and o.dtype.kind == "f":
-        finite = np.isfinite(o)
-        if not finite.all():
-            _float_text(float(o[~finite][0]))  # raises json's ValueError
-        values = map(float.__repr__, o.ravel().tolist())
-        out.append(_array_template(o.shape, depth) % tuple(values))
-    elif isinstance(o, (list, tuple, dict)) and not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-    elif isinstance(o, dict):
-        pad = "\n" + "  " * (depth + 1)
-        sep = "{" + pad
-        for key, value in o.items():
-            if not isinstance(key, str):
-                raise TypeError("keys must be str, not %s" % type(key).__name__)
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_pieces(value, depth + 1, out)
-            sep = "," + pad
-        out.append("\n" + "  " * depth + "}")
-    elif isinstance(o, (list, tuple)):
-        pad = "\n" + "  " * (depth + 1)
-        sep = "[" + pad
-        for item in o:
-            out.append(sep)
-            _json_pieces(item, depth + 1, out)
-            sep = "," + pad
-        out.append("\n" + "  " * depth + "]")
-    else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
-
-
 def _emit(args, doc, header, rows) -> None:
     """The one output path: the JSON document doc() or the CSV header
-    and rows, as --format asks, to --out or stdout. Only the chosen
-    format is built, and all of it before anything is written."""
-    pieces = []
+    and rows, as --format asks, to --out or stdout. The JSON text is
+    json.dumps(doc(), indent=2, allow_nan=False), or doc() itself when
+    it is a list of text pieces, as stot's is. Only the chosen format
+    is built, and all of it before anything is written."""
     if args.format == "json":
-        _json_pieces(doc(), 0, pieces)
+        pieces = doc()
+        if not isinstance(pieces, list):
+            pieces = [json.dumps(pieces, indent=2, allow_nan=False)]
         pieces.append("\n")
     else:
-        pieces.append(",".join(header) + "\n")
+        pieces = [",".join(header) + "\n"]
         pieces.extend(",".join(map(_cell, row)) + "\n" for row in rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -242,6 +190,26 @@ def _entry_parts(mat):
         return np.stack([mat.real, mat.imag, np.abs(mat) ** 2], axis=-1)
 
 
+def _stot_pieces(k, grid, flags, parts) -> list:
+    """The text of json.dumps(doc, indent=2) of stot's document over a
+    grid of at least one momentum, in pieces: the (P, k, k, 3) parts of
+    each unflagged momentum fill one template for its matrix and abs2
+    values, which must be finite (_refuse_non_finite checks them)."""
+    values = np.concatenate([parts[..., :2].reshape(len(grid), 2 * k * k),
+                             parts[..., 2].reshape(len(grid), k * k)], axis=1).tolist()
+    filled = ('      "matrix": %s,\n      "abs2": %s\n    }'
+              % (_array_template((k, k, 2), 3), _array_template((k, k), 3)))
+    records = [
+        '\n    {\n      "p": %s,\n      "near_pole": %s,\n'
+        % (float.__repr__(p), "true" if flagged else "false")
+        + ('      "matrix": null,\n      "abs2": null\n    }' if flagged
+           else filled % tuple(map(float.__repr__, row)))
+        for p, flagged, row in zip(grid, flags, values)
+    ]
+    return ['{\n  "command": "stot",\n  "external_modes": %d,\n  "results": [' % k,
+            ",".join(records), "\n  ]\n}"]
+
+
 def _load_system(path):
     spec = load_spec(path)
     g = build_graph(spec)
@@ -257,22 +225,13 @@ def cmd_stot(args) -> int:
     parts = _entry_parts(stack)
     _refuse_non_finite("stot", grid, near, parts)
 
-    def doc():
-        records = [
-            {"p": p, "near_pole": flagged,
-             "matrix": None if flagged else part[..., :2],
-             "abs2": None if flagged else part[..., 2]}
-            for p, flagged, part in zip(grid, flags, parts)
-        ]
-        return {"command": "stot", "external_modes": k, "results": records}
-
     header = ["p", "near_pole"] + [
         "%s_%d_%d" % (name, i + 1, j + 1)
         for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
     ]
     rows = ([p, flagged, *part.ravel().tolist()]
             for p, flagged, part in zip(grid, flags, parts))
-    _emit(args, doc, header, rows)
+    _emit(args, lambda: _stot_pieces(k, grid, flags, parts), header, rows)
     return 0
 
 

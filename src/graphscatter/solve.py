@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import inf, isfinite, nan, pi, sqrt
+from math import inf, isfinite, isnan, nan, pi, sqrt
 
 import numpy as np
 
@@ -137,11 +137,12 @@ def _refuse_range(p_min: float, p_max: float) -> None:
 def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     """Solve the grid chunk by chunk, assembling the blocks once (per
     point when a vertex matrix depends on momentum). Yields per chunk
-    (chunk, s_tot, m, core, bound, near): its slice of the grid, the
-    S_tot stack, the resolvent stack M, core = M^-1 s21, the
-    conditioning bound and the near-pole mask. Rows of flagged points
-    hold meaningless values. A momentum whose product with the longest
-    edge overflows is refused with a ValidationError.
+    (chunk, s_tot, m, core, bound, near, sigma): its slice of the grid,
+    the S_tot stack, the resolvent stack M, core = M^-1 s21, the
+    conditioning bound, the near-pole mask and the (sigma_min,
+    sigma_max) of M where they were taken, NaN elsewhere. Rows of
+    flagged points hold meaningless values. A momentum whose product
+    with the longest edge overflows is refused with a ValidationError.
 
     One stacked solve gives M^-1 [s21 | Omega], Omega the fixed
     _probe_block, so the output is deterministic. kappa_2 <= |M|_F
@@ -149,7 +150,8 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     probability 10^-_PROBES (Dixon 1983; Halko, Martinsson & Tropp 2011,
     sec. 4.3). A point whose bound |M|_F _PROBE_FACTOR max_i |M^-1 w_i|
     is below 0.5 / NEAR_POLE_RTOL is cleared; the factor 2 covers the
-    solve's rounding. The other points get the exact singular values.
+    solve's rounding. The other points, exactly singular ones (bound
+    NaN) included, get the exact singular values.
     """
     momenta = np.asarray(momenta)
     _refuse_phase_overflow(idx, momenta)
@@ -175,13 +177,15 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
             m_sq = np.einsum("kij,kij->k", m.view(float), m.view(float))
             probe_sq = (probed.real ** 2 + probed.imag ** 2).sum(axis=1).max(axis=1)
             bound = _PROBE_FACTOR * np.sqrt(m_sq * probe_sq)
-        for k in np.flatnonzero(~near & ~(bound < 0.5 / NEAR_POLE_RTOL)):
-            sigma = np.linalg.svd(m[k], compute_uv=False)
-            near[k] = sigma[-1] <= NEAR_POLE_RTOL * sigma[0]
+        sigma = np.full((len(p), 2), nan)
+        for k in np.flatnonzero(~(bound < 0.5 / NEAR_POLE_RTOL)):
+            values = np.linalg.svd(m[k], compute_uv=False)
+            sigma[k] = values[-1], values[0]
+            near[k] |= values[-1] <= NEAR_POLE_RTOL * values[0]
         # an overflowing S_tot is left inf or nan for the caller to refuse
         with np.errstate(over="ignore", invalid="ignore"):
             s_tot = s11 + s12 @ core
-        yield chunk, s_tot, m, core, bound, near
+        yield chunk, s_tot, m, core, bound, near, sigma
 
 
 def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
@@ -190,7 +194,7 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
     pole, whose rows of the stack are NaN."""
     stack = np.empty((len(momenta), g.n_external, g.n_external), dtype=complex)
     near = np.zeros(len(momenta), dtype=bool)
-    for chunk, s_tot, _, _, _, flags in _resolvent_chunks(g, locals_, idx, momenta):
+    for chunk, s_tot, _, _, _, flags, _ in _resolvent_chunks(g, locals_, idx, momenta):
         stack[chunk] = s_tot
         near[chunk] = flags
     stack[near] = complex(nan, nan)
@@ -199,16 +203,18 @@ def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
 
 def _one_point(g: Graph, locals_, idx: ModeIndex, p: complex, sigmas: bool = True):
     """(S_tot, core, sigma_min, sigma_max) at one momentum, from the
-    grid engine; raises NearPole with the exact singular values. The
-    singular values are NaN for a graph without internal edges, and
-    they are computed only for the raise unless sigmas is set."""
-    ((_, s_tot, m, core, _, near),) = _resolvent_chunks(g, locals_, idx, [p])
-    if g.n_internal == 0 or not (sigmas or near[0]):
-        return s_tot[0], core[0], nan, nan
-    sigma = np.linalg.svd(m[0], compute_uv=False)
+    grid engine; raises NearPole with the exact singular values the
+    engine took. The singular values are NaN for a graph without
+    internal edges, and at a point the probe cleared they are computed
+    only if sigmas is set."""
+    ((_, s_tot, m, core, _, near, sigma),) = _resolvent_chunks(g, locals_, idx, [p])
+    s_min, s_max = sigma[0].tolist()
     if near[0]:
-        raise NearPole(p, float(sigma[-1]), float(sigma[0]))
-    return s_tot[0], core[0], float(sigma[-1]), float(sigma[0])
+        raise NearPole(p, s_min, s_max)
+    if sigmas and g.n_internal and isnan(s_min):
+        values = np.linalg.svd(m[0], compute_uv=False)
+        s_min, s_max = float(values[-1]), float(values[0])
+    return s_tot[0], core[0], s_min, s_max
 
 
 def total_scattering(g: Graph, locals_, idx: ModeIndex, p: complex) -> TotalSMatrix:

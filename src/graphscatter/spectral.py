@@ -68,8 +68,10 @@ __all__ = [
     "symmetry_factor_check",
 ]
 
-# the polynomial must reproduce held-out determinant samples this well
-FIT_RTOL = 1e-9
+# the secular polynomial must reproduce held-out determinant samples, and
+# the symmetry-reduced product its coefficients, within this fraction of
+# its largest coefficient
+COEFFICIENT_RTOL = 1e-9
 # roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
 # V^-1 stands for the left eigenvectors when max |V^-1 V - I| is this small
@@ -238,7 +240,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
             p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
             fitted = np.polynomial.polynomial.polyval(np.exp(-1j * p * unit), coeffs)
             direct = secular_determinant(g, resolved, snapped, p)
-            if not abs(fitted - direct) <= FIT_RTOL * scale:  # also catches NaN
+            if not abs(fitted - direct) <= COEFFICIENT_RTOL * scale:  # also catches NaN
                 raise FitResidualTooLarge(
                     "polynomial residual %.3e at held-out point" % abs(fitted - direct)
                 )
@@ -645,10 +647,6 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     return [tuple(r) for r in roots]
 
 
-# the private name, kept for callers that still use it
-_eigenmomenta = eigenmomenta
-
-
 def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     """Real zeros of the secular determinant on [p_min, p_max] for a
     graph without external edges, as sorted distinct floats.
@@ -760,5 +758,5 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
 
     assembled = secular_polynomial(g, resolved, idx, unit)
     right = np.asarray(assembled.coefficients)[::-1]
-    tol = FIT_RTOL * float(np.max(np.abs(right)))
+    tol = COEFFICIENT_RTOL * float(np.max(np.abs(right)))
     return bool(np.max(np.abs(np.polysub(left, right))) <= tol)

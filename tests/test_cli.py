@@ -332,6 +332,14 @@ def test_p_list_flag(tmp_path):
     assert exc.value.code == 2
 
 
+def test_p_list_of_commas_only_is_a_usage_error(tmp_path, capsys):
+    graph = gen(tmp_path, "tadpole")
+    with pytest.raises(SystemExit) as exc:
+        main(["stot", "--graph", graph, "--p-list=,"])
+    assert exc.value.code == 2
+    assert "--p-list is empty" in capsys.readouterr().err
+
+
 def test_stray_linalg_error_exits_3(tmp_path, monkeypatch, capsys):
     graph = gen(tmp_path, "tadpole")
 
@@ -795,53 +803,24 @@ def test_json_and_csv_outputs_agree(tmp_path):
     assert {("verify", 3), ("equiv", 3)} <= outcomes
 
 
-def encoded(obj):
-    pieces = []
-    cli._json_pieces(obj, 0, pieces)
-    return "".join(pieces)
-
-
-def as_lists(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {key: as_lists(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [as_lists(item) for item in obj]
-    return obj
-
-
-def test_json_writer_matches_json_dumps():
+def test_stot_pieces_match_json_dumps():
+    special = [-0.0, 5e-324, 1e16, 1e308, 1 / 3]
     rng = np.random.default_rng(3)
-    docs = [
-        [], {}, [[]], {"a": {}}, [[], {}, [[[]]]], {"a": [], "b": [{}]},
-        *(np.zeros(shape) for shape in [(0,), (0, 0), (0, 0, 2), (2, 0), (3, 0, 2)]),
-        *(rng.standard_normal(shape) for shape in [(), (1,), (1, 1, 2), (3, 3, 2), (2, 3, 4)]),
-        {"m": [rng.standard_normal((3, 3, 2)), {"x": rng.standard_normal((2, 2))}]},
-        np.array([-0.0, 5e-324, 1e16, 1e308, 0.1, -1.5e-300]),
-        [-0.0, 5e-324, 1e16, 1e308, 1.0, -2.5, 1 / 3],
-        [0, -7, 2**70, True, False, None, (1, (2.5, None)), ()],
-        "plain", "", "é ü — ✓ 𝄞", "tab\tnew\nline\r \x00 \x1f \x7f quote\" back\\slash /",
-        {"ключ": "значение", " ": ["\ud800", 1]},
-        np.float64(0.25), [np.float64(1e-7)], np.array(2.5), 5, 0.5, None, True,
-        {"command": "stot", "results": [
-            {"p": 0.5, "near_pole": False, "matrix": rng.standard_normal((2, 2, 2)),
-             "abs2": rng.standard_normal((2, 2))},
-            {"p": 1.0, "near_pole": True, "matrix": None, "abs2": None}]},
-    ]
-    docs += [spec_to_dict(cli._generated_fixture(name))
-             for name in ("cube", "dodecahedron", "icosahedron", "octahedron", "tetrahedron",
-                          "fabry_perot", "interval_compact", "line2", "tadpole", "star",
-                          "triangle")]
-    for doc in docs:
-        assert encoded(doc) == json.dumps(as_lists(doc), indent=2, allow_nan=False), doc
-    for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan], {"x": -math.inf},
-                np.array([1.0, math.nan]), np.array([[math.inf]]), [np.array([-math.inf])]):
-        with pytest.raises(ValueError):
-            encoded(bad)
-    for bad in ({1: 2}, {1.5}, 1j, np.arange(3), np.array([1j]), np.int64(1), b"x"):
-        with pytest.raises(TypeError):
-            encoded(bad)
+    for k in (0, 1, 3):
+        for count in (1, 4):
+            grid = [float(p) for p in rng.uniform(0.1, 6.3, count)]
+            grid[0] = -0.0
+            parts = rng.standard_normal((count, k, k, 3))
+            flat = parts.reshape(-1)
+            flat[:len(special)] = special[:flat.size]
+            for flags in ([False] * count, [True] * count, [i % 2 == 1 for i in range(count)]):
+                doc = {"command": "stot", "external_modes": k, "results": [
+                    {"p": p, "near_pole": flagged,
+                     "matrix": None if flagged else part[..., :2].tolist(),
+                     "abs2": None if flagged else part[..., 2].tolist()}
+                    for p, flagged, part in zip(grid, flags, parts)]}
+                text = "".join(cli._stot_pieces(k, grid, flags, parts))
+                assert text == json.dumps(doc, indent=2, allow_nan=False), (k, count, flags)
 
 
 def line2_file(tmp_path, edit, name="graph.json"):

@@ -194,6 +194,12 @@ def test_triangle_star_permutation_matrix():
     assert np.max(np.abs(perm @ tri_s22 @ perm.T - star_s22)) == 0.0
 
 
+def test_triangle_locals_refuse_a_matrix_of_another_vertex():
+    locs = [kirchhoff_local(0, 3), kirchhoff_local(2, 3), kirchhoff_local(2, 3)]
+    with pytest.raises(ValidationError, match="matrix 1 is labeled for vertex 2"):
+        triangle_and_star_pair(1.0, 1.0, 1.0, locs)
+
+
 def test_triangle_locals_validated():
     bad = np.eye(3) * 2.0
     with pytest.raises(NotInvolutive):

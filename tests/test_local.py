@@ -146,6 +146,22 @@ def test_rotation_invariance_families():
     assert not check_rotation_invariance(lopsided, [1, 2, 0])
 
 
+def test_rotation_invariance_of_momentum_dependent_matrices():
+    # delta coupling on 1 + 3 slots, S(p) = 2 J / (4 + i a / p) - I,
+    # which treats all slots alike
+    def delta(p):
+        return 2.0 * np.ones((4, 4)) / (4.0 + 0.8j / p) - np.eye(4)
+
+    assert check_rotation_invariance(momentum_local(0, 4, delta), [1, 2, 0])
+    # rescaling internal slot 1 by 1 + p^2 (even in p, so still an
+    # involution) breaks the symmetry away from p = 0
+    def scaled(p):
+        d = np.diag([1.0, 1.0, 1.0 + p * p, 1.0])
+        return d @ delta(p) @ np.linalg.inv(d)
+
+    assert not check_rotation_invariance(momentum_local(0, 4, scaled), [1, 2, 0])
+
+
 def test_rotation_invariance_rejects_non_cycles():
     with pytest.raises(InvalidCycle):
         check_rotation_invariance(kirchhoff_local(0, 4), [0, 1])

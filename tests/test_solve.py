@@ -157,6 +157,21 @@ def test_path_sum_exact_when_no_backscattering():
     assert np.max(np.abs(series - direct)) < 1e-14
 
 
+def test_path_sum_truncates_at_max_order():
+    # s11 + s12 (sum_{n=0}^{3} [E(-p) s22]^n) E(-p) s21, written out
+    fix = canonical("fabry_perot", r=0.6, d=1.0)
+    g, locs, idx = fix.graph, fix.locals, mode_index(fix.graph)
+    p = 1.3 + 0.2j
+    blocks = assemble_blocks(g, locs, idx, p)
+    e_neg = assemble_propagation(g, idx, -p).matrix
+    bounce = e_neg @ blocks.int_int
+    want = blocks.ext_ext + blocks.ext_int @ sum(
+        np.linalg.matrix_power(bounce, n) for n in range(4)) @ e_neg @ blocks.int_ext
+    got = path_sum_oracle(g, locs, idx, p, max_order=3)
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert np.max(np.abs(got - path_sum_oracle(g, locs, idx, p, max_order=2))) > 1e-3
+
+
 def test_path_sum_diverges_below_real_axis():
     # Im p < 0 makes every bounce factor grow
     fix = canonical("tadpole")
@@ -251,7 +266,7 @@ def _certificate(g, locs, idx, momenta):
     conditioning bound and flags, and from a full SVD of each M the
     exact kappa_2 and near-pole rule."""
     bound, near, kappa, exact = [], [], [], []
-    for _, _, m, _, b, flags in solve._resolvent_chunks(g, locs, idx, momenta):
+    for _, _, m, _, b, flags, _ in solve._resolvent_chunks(g, locs, idx, momenta):
         sigma = np.linalg.svd(m, compute_uv=False)
         bound += b.tolist()
         near += flags.tolist()
@@ -315,6 +330,11 @@ def test_exact_singular_values_only_where_read(monkeypatch):
     # a bound state at p = pi on the lead-decoupled edge
     g = build_graph(GraphSpec(2, ((0, 1, 1.0),), (0,)))
     locs = [constant_local(0, [[1.0, 0.0], [0.0, -1.0]]), constant_local(1, [[-1.0]])]
-    with pytest.raises(NearPole) as err:
-        internal_modes(g, locs, mode_index(g), np.pi, np.ones(1))
-    assert 0 <= err.value.sigma_min <= solve.NEAR_POLE_RTOL * err.value.sigma_max
+    # one exact SVD per raise: the engine's, which NearPole reports
+    for call in (lambda: internal_modes(g, locs, mode_index(g), np.pi, np.ones(1)),
+                 lambda: total_scattering(g, locs, mode_index(g), np.pi)):
+        calls.clear()
+        with pytest.raises(NearPole) as err:
+            call()
+        assert len(calls) == 1
+        assert 0 <= err.value.sigma_min <= solve.NEAR_POLE_RTOL * err.value.sigma_max

@@ -61,6 +61,15 @@ def test_round_trip_through_dict():
     assert again == spec
 
 
+def test_round_trip_skips_vertices_without_a_matrix():
+    spec = parse_spec(sample_doc())
+    partial = GraphSpec(spec.vertices, spec.internal_edges, spec.external_edges,
+                        vertex_locals=(LocalSpec(family="kirchhoff"), None, None))
+    doc = spec_to_dict(partial)
+    assert doc["vertex_locals"] == [{"vertex": 1, "family": "kirchhoff"}]
+    assert parse_spec(doc) == partial
+
+
 def test_round_trip_through_file(tmp_path):
     spec = parse_spec(sample_doc())
     path = tmp_path / "g.json"

@@ -294,6 +294,37 @@ def test_symmetry_check_refuses_each_unfit_colouring():
             symmetry_factor_check(g, locs, idx, colour_matrices)
 
 
+def test_symmetry_check_refuses_uneven_leads_and_misshapen_colours():
+    # a triangle with one doubled edge and a lead on its third vertex:
+    # every vertex matrix is the 3x3 Kirchhoff one, but the lead counts differ
+    g = build_graph(GraphSpec(3, ((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), (2,)))
+    locs = [kirchhoff_local(v, 3) for v in range(3)]
+    with pytest.raises(ReductionNotApplicable, match="regular fixture"):
+        symmetry_factor_check(g, locs, mode_index(g), [np.eye(3)] * 3)
+
+    g, col = platonic("tetrahedron")
+    mats, _ = commuting_colour_matrices(col)
+    with pytest.raises(ReductionNotApplicable, match=r"colour matrix 2 has shape \(3, 3\)"):
+        symmetry_factor_check(g, [kirchhoff_local(v, 4) for v in range(4)], mode_index(g),
+                              [mats[0], mats[1], np.eye(3)])
+
+
+def test_certified_refuses_a_group_the_count_disagrees_with():
+    # two refined momenta 1e-9 apart form one group of size 2; a phase
+    # sample that counts only one eigenmomentum around it refuses it
+    found = np.array([1.0, 1.0 + 1e-9])
+    moved = np.zeros(2)
+
+    def sampler(roots):
+        def sample(p):
+            return (p, spectral.TWO_PI * sum(r < p for r in roots), 1.0, 1.0)
+        return sample
+
+    (p, k), = spectral._certified(sampler(found), found, moved, 0.5, 1.5, 2)
+    assert k == 2 and abs(p - 1.0) < 1e-9
+    assert spectral._certified(sampler(found[:1]), found, moved, 0.5, 1.5, 2) is None
+
+
 def test_commuting_colour_matrices_properties():
     g, col = platonic("cube")
     mats, commute = commuting_colour_matrices(col)
@@ -456,7 +487,7 @@ def test_eigenmomenta_count_k4_multiplicities():
     edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
     g = build_graph(GraphSpec(4, edges, ()))
     locs = [kirchhoff_local(v, 3) for v in range(4)]
-    got = spectral._eigenmomenta(g, locs, mode_index(g), 0.1, 2 * np.pi)
+    got = spectral.eigenmomenta(g, locs, mode_index(g), 0.1, 2 * np.pi)
     # cos p = -1/3 from the adjacency eigenvalue -1 of K4; at p = pi and
     # 2 pi the multiplicities are E - V and E - V + 2
     edge = np.arccos(-1.0 / 3.0)
@@ -472,10 +503,10 @@ def test_eigenmomenta_across_chunk_boundaries(monkeypatch):
     systems = [(k4, [kirchhoff_local(v, 3) for v in range(4)], mode_index(k4)),
                compact_rational_ring(21)]
     for g, locs, idx in systems:
-        want = spectral._eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
+        want = spectral.eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
         for per_chunk in (1, 2, 3):
             monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", per_chunk * idx.n_internal_slots ** 2)
-            got = spectral._eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
+            got = spectral.eigenmomenta(g, locs, idx, 0.1, 2 * np.pi)
             monkeypatch.undo()
             assert [k for _, k in got] == [k for _, k in want]
             assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) < 1e-14
@@ -497,7 +528,7 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
         distinct = np.sum(np.diff(want) > 1e-8) + 1
         assert len(got) == (87 if seed == 21 else distinct)
         # with its multiplicity
-        assert sum(k for _, k in spectral._eigenmomenta(g, locs, idx, 0.1, 10.0)) == len(want)
+        assert sum(k for _, k in spectral.eigenmomenta(g, locs, idx, 0.1, 10.0)) == len(want)
         assert all(np.min(np.abs(got - p)) < 1e-12 for p in want)
         assert all(np.min(np.abs(want - p)) < 1e-12 for p in got)
 
@@ -518,13 +549,13 @@ def test_eigenmomenta_high_multiplicities_and_wide_ranges():
         phase = -np.angle(lam[np.abs(np.abs(lam) - 1.0) < 1e-8]) % (2 * np.pi)
         want = np.sort([p for k in range(3) for p in phase + 2 * np.pi * k if 0.1 <= p <= 10.0])
         groups = np.split(want, np.flatnonzero(np.diff(want) > 1e-8) + 1)
-        got = spectral._eigenmomenta(g, locs, idx, 0.1, 10.0)
+        got = spectral.eigenmomenta(g, locs, idx, 0.1, 10.0)
         assert [k for _, k in got] == [len(group) for group in groups], name
         assert max(abs(p - group.mean()) for (p, _), group in zip(got, groups)) < 1e-12, name
     assert max(k for _, k in got) == 20
     # an interval of length 1.3 with hundreds of simple roots n pi / 1.3
     g, locs, idx = interval_system(length=1.3)
-    got = spectral._eigenmomenta(g, locs, idx, 0.1, 1000.0)
+    got = spectral.eigenmomenta(g, locs, idx, 0.1, 1000.0)
     want = np.pi * np.arange(1, int(1000.0 * 1.3 / np.pi) + 1) / 1.3
     assert [k for _, k in got] == [1] * len(want)
     assert max(abs(p - w) / w for (p, _), w in zip(got, want)) < 1e-14
