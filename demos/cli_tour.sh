@@ -16,7 +16,7 @@ head -n 8 tetra.json
 
 echo
 echo "== stot: scattering matrix sweep (CSV, first rows)"
-graphscatter stot --graph fabry.json --steps 6 --format csv --workers 1 | head -n 4
+graphscatter stot --graph fabry.json --steps 6 --format csv | head -n 4
 
 echo
 echo "== poles: resonances of the tetrahedron"
@@ -28,11 +28,11 @@ graphscatter spectrum --graph box.json --p-min 1 --p-max 10 --format csv
 
 echo
 echo "== verify: involution and unitarity defects (exits 0 on pass)"
-graphscatter verify --graph tetra.json --steps 8 --workers 1 | tail -n 8
+graphscatter verify --graph tetra.json --steps 8 | tail -n 8
 
 echo
 echo "== equiv: triangle and loop-star give the same S_tot"
-graphscatter equiv --graph triangle.json --graph-b star.json --steps 8 --workers 1 | head -n 6
+graphscatter equiv --graph triangle.json --graph-b star.json --steps 8 | head -n 6
 
 echo
 echo "all subcommands ran; outputs above"

@@ -51,7 +51,6 @@ from .assemble import (
     assemble_blocks,
     assemble_propagation,
     resolve_locals,
-    scatter_order_permutation,
 )
 from .solve import (
     TotalSMatrix,

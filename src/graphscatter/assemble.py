@@ -4,7 +4,9 @@ The direct sum of the vertex matrices, reindexed from vertex-local
 ordering to (external, internal) slot ordering, splits into four
 blocks. The propagation matrix pairs the two directed copies of each
 internal edge with the phase factor exp(-i p d); a loop contributes an
-antidiagonal 2x2 block on its two consecutive slots.
+antidiagonal 2x2 block on its two consecutive slots. The solvers take
+the internal rows of the blocks in that pairing's order
+(_partner_rows, _bond_blocks).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingVertexMatrix, SizeMismatch, ValidationError
-from .graph import Graph, ModeIndex, _permutation_matrix
+from .graph import Graph, ModeIndex
 from .local import LocalScattering
 
 __all__ = [
@@ -22,8 +24,6 @@ __all__ = [
     "PropagationMatrix",
     "assemble_blocks",
     "assemble_propagation",
-    "phase_diagonal",
-    "scatter_order_permutation",
 ]
 
 
@@ -73,21 +73,11 @@ def resolve_locals(g: Graph, locals_, idx: ModeIndex) -> list[LocalScattering]:
     return out
 
 
-def _combined_positions(g: Graph, idx: ModeIndex) -> list[int]:
-    # combined slot space: externals 0..N_e-1, then internal slots
-    n_e = idx.n_external
-    positions = []
-    for vtx in range(g.vertex_count):
-        positions.extend(idx.vertex_external[vtx])
-        positions.extend(n_e + s for s in idx.vertex_internal[vtx])
-    return positions
-
-
-def assemble_blocks(g: Graph, locals_, idx: ModeIndex, p: complex) -> BlockSystem:
-    """Evaluate every vertex matrix at p and scatter the entries into
-    the four global blocks. Entries outside vertex-local positions are
+def _scatter(g: Graph, resolved, idx: ModeIndex, momenta) -> np.ndarray:
+    """The direct sums of the resolved vertex matrices at every momentum,
+    reindexed to (external, internal) slot order, as a (P, N_e + 2N_i,
+    N_e + 2N_i) stack. Entries outside vertex-local positions are
     exactly zero."""
-    resolved = resolve_locals(g, locals_, idx)
     n_e = idx.n_external
     total = n_e + idx.n_internal_slots
     # one scatter of every vertex matrix, each in row-major order
@@ -96,15 +86,40 @@ def assemble_blocks(g: Graph, locals_, idx: ModeIndex, p: complex) -> BlockSyste
         slots = [*idx.vertex_external[vtx], *(n_e + s for s in idx.vertex_internal[vtx])]
         rows += [r for r in slots for _ in slots]
         cols += slots * len(slots)
-    combined = np.zeros((total, total), dtype=complex)
-    combined[rows, cols] = np.concatenate([loc.matrix(p).ravel() for loc in resolved])
-    return BlockSystem(
-        ext_ext=combined[:n_e, :n_e],
-        ext_int=combined[:n_e, n_e:],
-        int_ext=combined[n_e:, :n_e],
-        int_int=combined[n_e:, n_e:],
-        momentum=p,
-    )
+    combined = np.zeros((len(momenta), total, total), dtype=complex)
+    combined[:, rows, cols] = [np.concatenate([loc.matrix(q).ravel() for loc in resolved])
+                               for q in momenta]
+    return combined
+
+
+def _blocks(combined: np.ndarray, n_e: int):
+    """(s11, s12, s21, s22) of a combined matrix or of each of a stack."""
+    return (combined[..., :n_e, :n_e], combined[..., :n_e, n_e:],
+            combined[..., n_e:, :n_e], combined[..., n_e:, n_e:])
+
+
+def assemble_blocks(g: Graph, locals_, idx: ModeIndex, p: complex) -> BlockSystem:
+    """Evaluate every vertex matrix at p and scatter the entries into
+    the four global blocks. Entries outside vertex-local positions are
+    exactly zero."""
+    combined = _scatter(g, resolve_locals(g, locals_, idx), idx, [p])[0]
+    return BlockSystem(*_blocks(combined, idx.n_external), momentum=p)
+
+
+def _partner_rows(idx: ModeIndex, block: np.ndarray) -> np.ndarray:
+    """E(0) block: the rows of block, or of every matrix of a stack, in
+    partner order. E(0) pairs the two slots of every internal edge and
+    E(p) = E(0) D(p), D(p) = diag(exp(-i p d_s)), so E(0) E(p) = D(p)."""
+    return block[..., list(idx.partner), :]
+
+
+def _bond_blocks(g: Graph, resolved, idx: ModeIndex, momenta):
+    """(s11, s12, E(0) s21, B = E(0) s22) of the resolved vertex matrices,
+    stacked over the momenta. The engines work on
+    E(0) (E(p) - s22) = D(p) - B."""
+    combined = _scatter(g, resolved, idx, momenta)
+    combined[:, idx.n_external:] = _partner_rows(idx, combined[:, idx.n_external:])
+    return _blocks(combined, idx.n_external)
 
 
 def assemble_propagation(g: Graph, idx: ModeIndex, p: complex) -> PropagationMatrix:
@@ -117,17 +132,3 @@ def assemble_propagation(g: Graph, idx: ModeIndex, p: complex) -> PropagationMat
     mat = np.zeros((n, n), dtype=complex)
     mat[list(idx.partner), range(n)] = np.exp(-1j * p * np.asarray(idx.slot_length))
     return PropagationMatrix(matrix=mat, momentum=p)
-
-
-def phase_diagonal(g: Graph, idx: ModeIndex, p: complex) -> np.ndarray:
-    """Diagonal factor D(p) with E(p) = D(p) E(0) = E(0) D(p) and
-    D(p) D(q) = D(p + q)."""
-    return np.diag(np.exp(-1j * p * np.asarray(idx.slot_length)))
-
-
-def scatter_order_permutation(g: Graph, idx: ModeIndex) -> np.ndarray:
-    """0/1 matrix P reindexing the vertex-ordered direct sum into
-    (external, internal) ordering: P (sum of locals) P^T equals the
-    stacked block matrix."""
-    positions = _combined_positions(g, idx)
-    return _permutation_matrix(positions, len(positions), "slot order")

@@ -7,15 +7,19 @@ matrix as E, the external response is
 
 and the internal amplitudes driven by an external vector a are
 
-    B(p) = [E(-p) - s22(-p)]^{-1} s21(-p) a.
+    [E(-p) - s22(-p)]^{-1} s21(-p) a.
 
-Every momentum goes through ``scattering_grid``, which solves
-M(p) X = [s21 | Omega] for the matrices M(p) = E(0) D(p) - s22 of a
-whole grid as one stack. Omega is a fixed, seeded block of random
-probe columns whose solutions bound |M^-1|_2 (Dixon's estimator), so
-exact singular values are taken only where the bound cannot rule out
-a pole. A truncated multiple-reflection series is provided as an
-independent oracle for testing.
+Every momentum goes through ``scattering_grid``. E(p) = E(0) D(p) with
+D(p) = diag(exp(-i p d_s)) and E(0) the permutation that pairs the two
+slots of every internal edge, so the rows of E(p) - s22 in partner
+order are M(p) = D(p) - B, B = E(0) s22: the one matrix that the
+sweeps and the spectral engine solve with (_resolvent_stack). The
+sweep solves M(p) X = E(0) [s21 | Omega] for a whole grid as one
+stack, so X = (E(p) - s22)^-1 [s21 | Omega]. Omega is a fixed, seeded
+block of random probe columns whose solutions bound |M^-1|_2 (Dixon's
+estimator), so exact singular values are taken only where the bound
+cannot rule out a pole. A truncated multiple-reflection series is
+provided as an independent oracle for testing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from math import inf, isfinite, isnan, nan, pi, sqrt
 
 import numpy as np
 
-from .assemble import assemble_blocks, assemble_propagation
+from .assemble import (_bond_blocks, _partner_rows, assemble_blocks, assemble_propagation,
+                       resolve_locals)
 from .errors import EmptyInterval, NearPole, SeriesDiverges, SizeMismatch, ValidationError
 from .graph import Graph, ModeIndex
 from .local import _involution_defect, _unitarity_defect
@@ -134,17 +139,33 @@ def _refuse_range(p_min: float, p_max: float) -> None:
         raise ValidationError("need a finite width p_max - p_min, got [%r, %r]" % (p_min, p_max))
 
 
+def _resolvent_stack(idx: ModeIndex, bond: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """M(p) = D(p) - B, D(p) = diag(exp(-i p d_s)), at every momentum of
+    p, for one bond block B = E(0) s22 or one per momentum.
+
+    M(p) = E(0) (E(p) - s22) is the resolvent matrix with its rows in
+    partner order, so it has the same singular values and Frobenius
+    norm, and M^-1 E(0) = (E(p) - s22)^-1. Its derivative is
+    -i diag(d) D(p).
+    """
+    m = np.negative(bond, out=np.empty((len(p), *bond.shape[-2:]), dtype=complex))
+    diagonal = np.arange(len(idx.slot_length))
+    m[:, diagonal, diagonal] += np.exp(-1j * p[:, None] * np.asarray(idx.slot_length))
+    return m
+
+
 def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
-    """Solve the grid chunk by chunk, assembling the blocks once (per
-    point when a vertex matrix depends on momentum). Yields per chunk
-    (chunk, s_tot, m, core, bound, near, sigma): its slice of the grid,
-    the S_tot stack, the resolvent stack M, core = M^-1 s21, the
+    """Solve the grid chunk by chunk, validating the vertex data once and
+    evaluating it once (per point when a vertex matrix depends on
+    momentum). Yields per chunk (chunk, s_tot, m, core, bound, near,
+    sigma): its slice of the grid, the S_tot stack, the resolvent stack
+    M = D(p) - B (_resolvent_stack), core = (E(p) - s22)^-1 s21, the
     conditioning bound, the near-pole mask and the (sigma_min,
     sigma_max) of M where they were taken, NaN elsewhere. Rows of
     flagged points hold meaningless values. A momentum whose product
     with the longest edge overflows is refused with a ValidationError.
 
-    One stacked solve gives M^-1 [s21 | Omega], Omega the fixed
+    One stacked solve gives M^-1 E(0) [s21 | Omega], Omega the fixed
     _probe_block, so the output is deterministic. kappa_2 <= |M|_F
     |M^-1|_2, and |M^-1|_2 <= _PROBE_FACTOR max_i |M^-1 w_i| except with
     probability 10^-_PROBES (Dixon 1983; Halko, Martinsson & Tropp 2011,
@@ -155,18 +176,14 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     """
     momenta = np.asarray(momenta)
     _refuse_phase_overflow(idx, momenta)
-    constant = all(loc.is_constant for loc in locals_)
-    fixed = [assemble_blocks(g, locals_, idx, 0.0)] if constant else None
-    e0 = assemble_propagation(g, idx, 0.0).matrix
-    lengths = np.asarray(idx.slot_length)
-    omega = _probe_block(idx.n_internal_slots)
+    resolved = resolve_locals(g, locals_, idx)
+    fixed = _bond_blocks(g, resolved, idx, [0.0]) if all(
+        loc.is_constant for loc in resolved) else None
+    omega = _partner_rows(idx, _probe_block(idx.n_internal_slots))
     for chunk in _chunks(idx.n_internal_slots, len(momenta)):
         p = momenta[chunk]
-        blocks = fixed or [assemble_blocks(g, locals_, idx, q) for q in p.tolist()]
-        s11, s12, s21, s22 = (np.stack([getattr(b, f) for b in blocks])
-                              for f in ("ext_ext", "ext_int", "int_ext", "int_int"))
-        # M(p) = E(0) D(p) - s22, D(p) = diag(exp(-i p d_s)) scaling column s
-        m = e0 * np.exp(-1j * p[:, None] * lengths)[:, None, :] - s22
+        s11, s12, s21, bond = fixed or _bond_blocks(g, resolved, idx, p.tolist())
+        m = _resolvent_stack(idx, bond, p)
         rhs = np.empty((len(p), len(omega), g.n_external + _PROBES), dtype=complex)
         rhs[..., :g.n_external], rhs[..., g.n_external:] = s21, omega
         x, near = _solve(m, rhs)

@@ -26,12 +26,15 @@ the eigenmomenta are the momenta where an eigenphase crosses 0 mod
 2 pi. The sum of the principal eigenphases counts these crossings
 exactly between any two momenta (Berkolaiko & Kuchment, Introduction
 to Quantum Graphs, 2013). Splitting the range on these counts gives
-windows of a few eigenmomenta each, and in each window Beyn's
-contour integral of A(p)^-1, A(p) = I - U(p) (W.-J. Beyn, Linear
-Algebra Appl. 436, 3839, 2012) over trapezoid nodes, which converge
-exponentially (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), places
-the eigenmomenta; two refinement steps on the same A(p) polish them,
-and the window's count certifies that none is missing.
+windows of a few eigenmomenta each. In each window Beyn's contour
+integral (W.-J. Beyn, Linear Algebra Appl. 436, 3839, 2012) over
+trapezoid nodes, which converge exponentially (Trefethen & Weideman,
+SIAM Rev. 56, 385, 2014), places the eigenmomenta, and two refinement
+steps polish them. Both solve with the sweeps' matrix
+M(p) = E(0) (E(p) - s22) = D(p) - B, D(p) = diag(exp(-i p d_s)) and
+B = E(0) s22, which is D(p) A(p) with A(p) = I - U(p), so it has the
+zeros and null vectors of A(p). The window's count certifies that none
+is missing.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assemble import assemble_blocks, assemble_propagation, resolve_locals
+from .assemble import _bond_blocks, assemble_blocks, assemble_propagation, resolve_locals
 from .errors import (
     DegenerateConstantPolynomial,
     FitResidualTooLarge,
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .graph import Graph, ModeIndex
 from .solve import (MAX_GRID_POINTS, _chunks, _probe_block, _refuse_phase_overflow, _refuse_range,
-                    _solve)
+                    _resolvent_stack, _solve)
 
 __all__ = [
     "SecularPolynomial",
@@ -183,30 +186,31 @@ def _slot_powers(idx: ModeIndex, unit: float) -> tuple[int, ...]:
     return tuple(powers)
 
 
-def _bond_matrix(idx: ModeIndex, powers, s22: np.ndarray):
+def _bond_matrix(powers, bond: np.ndarray):
     """Unit bond matrix U with det(E(zeta) - s22) = det(E(0)) det(zeta I - U).
 
     Bond k of slot s carries zeta**k times the slot amplitude, so the
     bonds of a slot form a shift chain and the last one closes it with
-    row partner(s) of s22. Returns U and the first and last bond
-    index of every slot.
+    row s of B = E(0) s22, which is row partner(s) of s22. Returns U
+    and the first and last bond index of every slot.
     """
     last = np.cumsum(powers) - 1
     first = last - np.asarray(powers) + 1
     chain = np.setdiff1d(np.arange(last[-1]), last)
     u = np.zeros((last[-1] + 1, last[-1] + 1), dtype=complex)
     u[chain, chain + 1] = 1.0
-    u[np.ix_(last, first)] = s22[list(idx.partner)]
+    u[np.ix_(last, first)] = bond
     return u, first, last
 
 
 def _constant_blocks(g: Graph, locals_, idx: ModeIndex, refusal, what: str):
-    """The validated vertex matrices and their blocks at p = 0; raises
-    refusal unless every vertex matrix is constant."""
+    """The validated vertex matrices and their (s11, s12, E(0) s21,
+    B = E(0) s22) at p = 0 (_bond_blocks); raises refusal unless every
+    vertex matrix is constant."""
     resolved = resolve_locals(g, locals_, idx)
     if not all(loc.is_constant for loc in resolved):
         raise refusal("%s requires constant vertex matrices" % what)
-    return resolved, assemble_blocks(g, resolved, idx, 0.0)
+    return resolved, [block[0] for block in _bond_blocks(g, resolved, idx, [0.0])]
 
 
 def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> SecularPolynomial:
@@ -219,13 +223,14 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     the unit bond matrix and D is the degree bound. The result is
     checked against secular_determinant at 8 held-out momenta.
     """
-    resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "polynomial form")
+    resolved, (_, s12, e0_s21, e0_s22) = _constant_blocks(g, locals_, idx, NonConstantLocals,
+                                                          "polynomial form")
     powers = _slot_powers(idx, unit)
     degree = sum(powers)
     coeffs = np.ones(1, dtype=complex)
     bond = None
     if degree > 0:
-        u, first, last = _bond_matrix(idx, powers, blocks.int_int)
+        u, first, last = _bond_matrix(powers, e0_s22)
         eigs, right = np.linalg.eig(u)
         n_nodes = degree + 1
         nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
@@ -252,8 +257,8 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
         u_norm = max(float(degree > len(powers)), *(
             np.linalg.norm(loc.constant[len(ext):, len(ext):], 2)
             for loc, ext in zip(resolved, idx.vertex_external)))
-        bond = BondSystem(u, eigs, right, float(u_norm), first, last, blocks.ext_int,
-                          blocks.int_ext[list(idx.partner)], float(vertex_norm))
+        bond = BondSystem(u, eigs, right, float(u_norm), first, last, s12, e0_s21,
+                          float(vertex_norm))
 
     coeffs.flags.writeable = False
     return SecularPolynomial(unit_length=unit, coefficients=coeffs, degree_bound=degree,
@@ -463,30 +468,21 @@ def _cut(sample, p: float, step: float):
     return s
 
 
-def _resolvents(system, p: np.ndarray) -> np.ndarray:
-    """A(p) = I - U(p), U(p) = diag(exp(i p lengths)) bond, at the
-    momenta p of a compact system (idx, bond), refusing momenta whose
-    phase overflows."""
-    idx, bond = system
-    _refuse_phase_overflow(idx, p)
-    phase = np.exp(1j * p[:, None] * np.asarray(idx.slot_length))
-    return np.eye(len(bond)) - phase[:, :, None] * bond
-
-
 def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray):
     """Beyn's estimates (momenta, null vectors) of the eigenmomenta in
     the ellipse through a and b, which holds count of them.
 
     The ellipse z = c + r w, w = cos t + i CONTOUR_RATIO sin t, carries
     CONTOUR_NODES trapezoid nodes t_j = 2 pi (j + 1/2) / N, none of them
-    real, so A(z_j) is never singular. One stacked solve per chunk of
-    nodes gives X_j = A(z_j)^-1 V for the first count + PROBE_EXTRA
-    columns V of the probe, and the moments B_k = sum_j w_j^k w'(t_j) X_j
-    are (1 / 2 pi i) oint w^k A^-1 V dz up to a factor that cancels.
-    With B_0 = Q S W^H truncated to its rank, the number of singular
-    values above RANK_RTOL of the largest but at least count, the
-    eigenvalues of Q^H B_1 W S^-1 are the w of the eigenmomenta and Q
-    maps its eigenvectors to their null vectors. The rank also counts
+    real, so M(z_j) = D(z_j) - B = D(z_j) A(z_j) (_resolvent_stack) is
+    never singular; D(z) is invertible, so M has the zeros and right null
+    vectors of A. One stacked solve per chunk of nodes gives X_j = M(z_j)^-1 V for
+    the first count + PROBE_EXTRA columns V of the probe, and the moments
+    C_k = sum_j w_j^k w'(t_j) X_j are (1 / 2 pi i) oint w^k M^-1 V dz up
+    to a factor that cancels. With C_0 = Q S W^H truncated to its rank,
+    the number of singular values above RANK_RTOL of the largest but at
+    least count, the eigenvalues of Q^H C_1 W S^-1 are the w of the
+    eigenmomenta and Q maps its eigenvectors to their null vectors. The rank also counts
     eigenmomenta just outside the ellipse, as a root of high
     multiplicity next to an end; when it fills the probe, the integral
     is redone with all n columns. Estimates more than r beyond the
@@ -501,8 +497,8 @@ def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray
     for width in (min(n, count + PROBE_EXTRA), n):
         moments = np.zeros((2, n, width), dtype=complex)
         for part in _chunks(n, CONTOUR_NODES):
-            az = _resolvents(system, z[part])
-            x = np.linalg.solve(az, np.broadcast_to(probe[:, :width], (len(az), n, width)))
+            m = _resolvent_stack(*system, z[part])
+            x = np.linalg.solve(m, np.broadcast_to(probe[:, :width], (len(m), n, width)))
             moments += np.tensordot(weights[:, part], x, axes=1)
         u, sigma, vh = np.linalg.svd(moments[0], full_matrices=False)
         rank = max(count, int(np.sum(sigma > RANK_RTOL * sigma[0])))
@@ -520,23 +516,25 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     estimate at once, chunk by chunk.
 
     A'(p) = -i diag(L) U(p) is -i diag(L) on the null vectors of A(p),
-    so a step solves A(p) y = diag(L) x, the constant -i dropped,
-    normalises y, and moves p by the Newton step of y^H A(p) y: U(p) is
-    unitary at real p, so the left null vector of A(p) is the right
-    one, and the derivative there is -i y^H diag(L) y. Returns the
-    momenta and the size of each one's last step. An exactly singular
-    A(p) leaves p and x as they are, with a last step of 0.
+    so a step solves A(p) y = diag(L) x, the constant -i dropped, as
+    M(p) y = D(p) diag(L) x on M(p) = D(p) A(p) (_resolvent_stack),
+    normalises y, and moves p by the Newton step of y^H A(p) y, with
+    A(p) y read as D(-p) M(p) y: U(p) is unitary at real p, so the left
+    null vector of A(p) is the right one, and the derivative there is
+    -i y^H diag(L) y. Returns the momenta and the size of each one's
+    last step. An exactly singular M(p) leaves p and x as they are, with
+    a last step of 0.
     """
-    idx, _ = system
-    lengths = np.asarray(idx.slot_length)
+    lengths = np.asarray(system[0].slot_length)
     p, x, moved = p.copy(), x.copy(), np.zeros(len(p))
     for part in _chunks(len(lengths), len(p)):
         for _ in range(2):
-            a = _resolvents(system, p[part])
-            y, singular = _solve(a, (lengths * x[part])[..., None])
+            m = _resolvent_stack(*system, p[part])
+            phase = np.exp(-1j * p[part, None] * lengths)
+            y, singular = _solve(m, (phase * lengths * x[part])[..., None])
             y = np.where(singular[:, None], x[part], y[..., 0])
             y /= np.linalg.norm(y, axis=1, keepdims=True)
-            ay = (a @ y[..., None])[..., 0]
+            ay = (m @ y[..., None])[..., 0] / phase
             shift = np.sum(y.conj() * ay, axis=1).imag / (np.abs(y) ** 2 @ lengths)
             shift[singular] = 0.0
             p[part] += shift
@@ -595,13 +593,12 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
         raise NotCompact("spectrum is defined for graphs without external edges; found %d"
                          % g.n_external)
     _refuse_range(p_min, p_max)
-    resolved, blocks = _constant_blocks(g, locals_, idx, NonConstantLocals, "spectrum")
+    resolved, (_, _, _, bond) = _constant_blocks(g, locals_, idx, NonConstantLocals, "spectrum")
     if not all(loc.unitary for loc in resolved):
         raise ValidationError("spectrum requires unitary vertex matrices")
     if g.n_internal == 0:
         return []
 
-    bond = blocks.int_int[list(idx.partner)]
     n = len(bond)
     sample = _phase_sampler(bond, np.asarray(idx.slot_length))
     # the range overhangs both ends so that a root on an end is inside it,

@@ -161,6 +161,23 @@ def permutation_matrix(perm):
     return mat
 
 
+def _combined_positions(g, idx):
+    # combined slot space: externals 0..N_e-1, then internal slots
+    n_e = idx.n_external
+    positions = []
+    for vtx in range(g.vertex_count):
+        positions.extend(idx.vertex_external[vtx])
+        positions.extend(n_e + s for s in idx.vertex_internal[vtx])
+    return positions
+
+
+def scatter_order_permutation(g, idx):
+    """0/1 matrix P reindexing the vertex-ordered direct sum into
+    (external, internal) ordering: P (sum of locals) P^T equals the
+    stacked block matrix."""
+    return permutation_matrix(_combined_positions(g, idx))
+
+
 def system(g, rng=None, unitary=False, locals_=None):
     idx = mode_index(g)
     if locals_ is None:

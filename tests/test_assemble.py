@@ -14,11 +14,9 @@ from graphscatter import (
 from graphscatter.assemble import (
     assemble_blocks,
     assemble_propagation,
-    phase_diagonal,
     resolve_locals,
-    scatter_order_permutation,
 )
-from _helpers import block_diag, random_graph, random_locals
+from _helpers import block_diag, random_graph, random_locals, scatter_order_permutation
 
 
 def test_block_shapes():
@@ -98,11 +96,13 @@ def test_propagation_involution_and_phase_split():
     e_m = assemble_propagation(g, idx, -p).matrix
     assert np.max(np.abs(e_p @ e_m - np.eye(n))) < 1e-14
     e_0 = assemble_propagation(g, idx, 0.0).matrix
-    d_p = phase_diagonal(g, idx, p)
+    d_p = np.diag(np.exp(-1j * p * np.asarray(idx.slot_length)))
     assert np.max(np.abs(d_p @ e_0 - e_p)) < 1e-14
     assert np.max(np.abs(e_0 @ d_p - e_p)) < 1e-14
-    d_q = phase_diagonal(g, idx, q)
-    assert np.max(np.abs(d_p @ d_q - phase_diagonal(g, idx, p + q))) < 1e-14
+    # E(0) E(p) = D(p), so E(p) E(0) E(q) = D(p + q) E(0) = E(p + q)
+    assert np.max(np.abs(e_0 @ e_p - d_p)) < 1e-14
+    e_q = assemble_propagation(g, idx, q).matrix
+    assert np.max(np.abs(e_p @ e_0 @ e_q - assemble_propagation(g, idx, p + q).matrix)) < 1e-14
 
 
 def test_loop_block_is_swap_times_phase():

@@ -20,7 +20,7 @@ from graphscatter import (
     verify_involution,
     verify_unitarity,
 )
-from graphscatter import solve
+from graphscatter import assemble, solve
 from graphscatter.assemble import assemble_blocks, assemble_propagation
 from _helpers import count_calls, nonpole_momentum, random_graph, random_locals
 
@@ -234,6 +234,59 @@ def test_scattering_grid_matches_path_sum_oracle(monkeypatch):
             assert np.max(np.abs(mat - series)) < 1e-9
             assert np.max(np.abs(mat - total_scattering(g, locs, idx, p).matrix)) < 1e-13
         done += 1
+
+
+def test_grid_validates_momentum_dependent_data_once(monkeypatch):
+    # evaluated at every point, validated once per grid
+    rng = np.random.default_rng(41)
+    g = build_graph(GraphSpec(2, ((0, 1, 1.0), (1, 1, 0.5)), (0, 0, 1)))
+    idx = mode_index(g)
+    locs = random_locals(rng, g, idx, unitary=True)
+    dressed = _dressed(1, locs[1], rng.uniform(0.0, 0.3, size=idx.vertex_slot_count(1)))
+    evaluated = []
+
+    def evaluate(p):
+        evaluated.append(p)
+        return dressed.matrix(p)
+
+    locs[1] = momentum_local(1, dressed.size, evaluate)
+    evaluated.clear()
+    monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", 3 * idx.n_internal_slots ** 2)
+    calls = [count_calls(monkeypatch, module, "resolve_locals") for module in (assemble, solve)]
+    momenta = np.linspace(0.3, 5.1, 10)
+    stack, near = scattering_grid(g, locs, idx, momenta)
+    assert sum(map(len, calls)) == 1 and len(evaluated) == 10
+    assert not near.any()
+    for p, mat in zip(momenta, stack):
+        assert np.max(np.abs(mat - path_sum_oracle(g, locs, idx, p + 0.0j, tol=1e-12))) < 1e-9
+
+
+def test_conditioning_and_matrix_are_those_of_the_resolvent():
+    # the engines solve D(p) - E(0) s22, the rows of E(p) - s22 in
+    # partner order: same singular values, same S_tot, at real and
+    # complex p, with loops and momentum-dependent vertex data
+    rng = np.random.default_rng(507)
+    checked = 0
+    while checked < 40:
+        g = random_graph(rng, max_vertices=5)
+        if not any(e.is_loop for e in g.internal_edges):
+            continue
+        idx = mode_index(g)
+        locs = random_locals(rng, g, idx, unitary=checked % 2 == 0)
+        v = int(rng.integers(0, g.vertex_count))
+        locs[v] = _dressed(v, locs[v], rng.uniform(0.0, 0.3, size=idx.vertex_slot_count(v)))
+        for p in (rng.uniform(0.1, 6.0), complex(rng.uniform(-4.0, 4.0), rng.uniform(-0.4, 0.4))):
+            blocks = assemble_blocks(g, locs, idx, p)
+            m = assemble_propagation(g, idx, p).matrix - blocks.int_int
+            sigma = np.linalg.svd(m, compute_uv=False)
+            if sigma[-1] < 1e-6 * sigma[0]:
+                continue
+            want = blocks.ext_ext + blocks.ext_int @ np.linalg.solve(m, blocks.int_ext)
+            got = total_scattering(g, locs, idx, p)
+            assert abs(got.sigma_min - sigma[-1]) <= 1e-12 * sigma[-1], (p, got, sigma)
+            assert abs(got.sigma_max - sigma[0]) <= 1e-12 * sigma[0], (p, got, sigma)
+            assert np.max(np.abs(got.matrix - want)) <= 1e-12 * np.max(np.abs(want)), p
+            checked += 1
 
 
 def test_scattering_grid_exactly_singular_point_mid_chunk(monkeypatch):

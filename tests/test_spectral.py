@@ -517,8 +517,8 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
     # roots, and the rings of seeds 0-9
     for seed in (21, *range(10)):
         g, locs, idx = compact_rational_ring(seed)
-        s22 = assemble_blocks(g, locs, idx, 0.0).int_int
-        u, _, _ = spectral._bond_matrix(idx, spectral._slot_powers(idx, 0.1), s22)
+        bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
+        u, _, _ = spectral._bond_matrix(spectral._slot_powers(idx, 0.1), bond)
         lam = np.linalg.eigvals(u)
         # zeta = exp(-0.1 i p) on the unit circle; one period covers [0.1, 10]
         on_circle = lam[np.abs(np.abs(lam) - 1.0) < 1e-8]
@@ -543,8 +543,8 @@ def test_eigenmomenta_high_multiplicities_and_wide_ranges():
                                   tuple((e.u, e.v, e.length) for e in solid.internal_edges), ()))
         idx = mode_index(g)
         locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
-        s22 = assemble_blocks(g, locs, idx, 0.0).int_int
-        u, _, _ = spectral._bond_matrix(idx, spectral._slot_powers(idx, 1.0), s22)
+        bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
+        u, _, _ = spectral._bond_matrix(spectral._slot_powers(idx, 1.0), bond)
         lam = np.linalg.eigvals(u)
         phase = -np.angle(lam[np.abs(np.abs(lam) - 1.0) < 1e-8]) % (2 * np.pi)
         want = np.sort([p for k in range(3) for p in phase + 2 * np.pi * k if 0.1 <= p <= 10.0])
