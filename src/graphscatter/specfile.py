@@ -64,9 +64,14 @@ def _parse_unit(value) -> float:
         raise SpecFileError("lengths_unit must be finite, got %r" % value)
     else:
         unit = Fraction(value)
-    if unit <= 0:
-        raise SpecFileError("lengths_unit must be positive, got %s" % value)
-    return float(unit)
+    try:
+        unit = float(unit)
+    except OverflowError:
+        unit = math.inf
+    # also refuses rationals that round to 0.0 or beyond the float range
+    if not 0.0 < unit < math.inf:
+        raise SpecFileError("lengths_unit must be a positive finite float, got %s" % value)
+    return unit
 
 
 def _parse_matrix(m) -> tuple:

@@ -33,8 +33,10 @@ SIAM Rev. 56, 385, 2014), places the eigenmomenta, and two refinement
 steps polish them. Both solve with the sweeps' matrix
 M(p) = E(0) (E(p) - s22) = D(p) - B, D(p) = diag(exp(-i p d_s)) and
 B = E(0) s22, which is D(p) A(p) with A(p) = I - U(p), so it has the
-zeros and null vectors of A(p). The window's count certifies that none
-is missing.
+zeros and null vectors of A(p). The residual of the refined null
+vectors puts each root within a proven reach of its momentum, and
+disjoint reaches inside the window that add up to its count certify
+that none is missing.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ PROBE_EXTRA = 6
 # singular values of a window's zeroth moment above this share of the
 # largest belong to eigenmomenta, the rest to quadrature error
 RANK_RTOL = 1e-6
-# a refined eigenmomentum whose last step exceeds this share of
-# max(1, |p|) has not converged
-REFINE_RTOL = 1e-9
 # a window ends only where every eigenphase is this far from 0, far
 # above their error of about n eps (_phase_sampler): no root sits on a
 # cut, the counts on either side are exact, and a root on a range end
@@ -280,10 +279,10 @@ def _left_rows(right: np.ndarray):
     return None
 
 
-def _eigen_groups(u: np.ndarray, eigen=None, norm=None):
+def _eigen_groups(u: np.ndarray, eigen, norm: float):
     """Eigenvalues of u grouped into distinct roots; eigen is the
     (eigenvalues, right eigenvectors) pair of np.linalg.eig(u) and norm
-    is ||u||_2 when the caller already has them.
+    is ||u||_2.
 
     The rows w_k^H of V^-1 (_left_rows) are the left eigenvectors with
     w_k^H v_k = 1, so with unit right eigenvectors each eigenvalue has
@@ -300,8 +299,7 @@ def _eigen_groups(u: np.ndarray, eigen=None, norm=None):
     group (NaN on a group that got more or fewer left than right
     eigenvectors, or a singular W_g^H V_g) and each group's index array.
     """
-    lam, right = np.linalg.eig(u) if eigen is None else eigen
-    norm = np.linalg.norm(u, 2) if norm is None else norm
+    lam, right = eigen
     left = _left_rows(right)
     if left is None:
         mu, unit_left = np.linalg.eig(u.T)
@@ -408,46 +406,15 @@ def find_poles(poly: SecularPolynomial, include_removable: bool = False) -> list
 def _phase_sampler(bond: np.ndarray, lengths: np.ndarray):
     """sample(p) = (p, p sum(lengths) - sum(phi), min(phi), max(phi))
     for the principal eigenphases phi in [0, 2 pi] of the unitary
-    U(p) = diag(exp(i p lengths)) bond.
-
-    exp(i phi) is an eigenvalue of U when tan((phi - beta) / 2) is one
-    of the Hermitian H = i (I - cU)(I + cU)^-1, c = exp(-i beta), so a
-    solve and an eigvalsh give every phase. H is singular at
-    phi = beta + pi, which is therefore kept mid-way across the widest
-    gap of the last spectrum, starting from beta = 0. That gap spans at
-    least 2 pi / n, so ||H|| < cot(pi / 2n) < n there; a sample with
-    ||H|| > n is redone once with beta moved to the widest gap of its
-    own phases, and phases near 0 come out accurate to about eps ||H||.
-    Only an exactly singular I + cU, or a second sample that fails too,
-    falls back to the eigenvalues of U.
-    """
-    n = len(lengths)
-    eye = np.eye(n)
+    U(p) = diag(exp(i p lengths)) bond, the angles of its eigenvalues
+    (np.linalg.eigvals), which are accurate to about n eps."""
     total = float(np.sum(lengths))
-    beta = 0.0
-
-    def summary(p, phi):
-        # also moves beta + pi to the middle of the widest gap of phi
-        nonlocal beta
-        phi = np.sort(phi % TWO_PI)
-        gaps = np.diff(phi, append=phi[0] + TWO_PI)
-        beta = phi[np.argmax(gaps)] + 0.5 * np.max(gaps) - math.pi
-        # Python floats: a sum beyond the float range is inf, not a warning
-        return p, float(p) * total - float(np.sum(phi)), phi[0], phi[-1]
 
     def sample(p):
         u = np.exp(1j * p * lengths)[:, None] * bond
-        for _ in range(2):
-            cu = cmath.exp(-1j * beta) * u
-            try:
-                x = np.linalg.solve(eye + cu, eye - cu)
-            except np.linalg.LinAlgError:
-                break
-            h = np.linalg.eigvalsh(0.5j * (x - x.conj().T))
-            result = summary(p, beta + 2.0 * np.arctan(h))
-            if np.max(np.abs(h)) <= n:
-                return result
-        return summary(p, np.angle(np.linalg.eigvals(u)))
+        phi = np.sort(np.angle(np.linalg.eigvals(u)) % TWO_PI)
+        # Python floats: a sum beyond the float range is inf, not a warning
+        return p, float(p) * total - float(np.sum(phi)), phi[0], phi[-1]
 
     return sample
 
@@ -521,12 +488,11 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     normalises y, and moves p by the Newton step of y^H A(p) y, with
     A(p) y read as D(-p) M(p) y: U(p) is unitary at real p, so the left
     null vector of A(p) is the right one, and the derivative there is
-    -i y^H diag(L) y. Returns the momenta and the size of each one's
-    last step. An exactly singular M(p) leaves p and x as they are, with
-    a last step of 0.
+    -i y^H diag(L) y. Returns the momenta and the unit vectors y of the
+    last step. An exactly singular M(p) leaves p and x as they are.
     """
     lengths = np.asarray(system[0].slot_length)
-    p, x, moved = p.copy(), x.copy(), np.zeros(len(p))
+    p, x = p.copy(), x.copy()
     for part in _chunks(len(lengths), len(p)):
         for _ in range(2):
             m = _resolvent_stack(*system, p[part])
@@ -538,31 +504,47 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
             shift = np.sum(y.conj() * ay, axis=1).imag / (np.abs(y) ** 2 @ lengths)
             shift[singular] = 0.0
             p[part] += shift
-            x[part], moved[part] = y, np.abs(shift)
-    return p, moved
+            x[part] = y
+    return p, x
 
 
-def _certified(sample, p: np.ndarray, moved: np.ndarray, a: float, b: float, count: int):
-    """The refined momenta p in (a, b] as (momentum, multiplicity)
-    groups, or None unless they are converged and account for all count
-    eigenmomenta there.
+def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: int):
+    """The refined momenta p in (a, b] with their unit vectors x as
+    (momentum, multiplicity) groups, or None unless a residual bound
+    proves that they hold all count eigenmomenta there.
 
-    Momenta within ROOT_DEDUP_TOL of each other form one group, whose
-    multiplicity is certified by the count between cuts
-    ROOT_DEDUP_TOL / 2 outside it. Every group is then a distinct root
-    with at most its true multiplicity, so groups that add up to the
-    count miss none.
+    Momenta within ROOT_DEDUP_TOL of each other form one group of k
+    members with centre c and Q, an orthonormal basis of their vectors
+    (QR; the unit vector itself when k = 1). At real c, D(c) is unitary
+    and A(c) = I - U(c) is normal with the singular values
+    2 |sin(theta / 2)| over the eigenphases theta, so
+    r = ||M(c) Q||_2 = ||A(c) Q||_2, with M(c) Q taken as D(c) Q - B Q,
+    bounds k of them by 2 asin(r / 2) (Courant-Fischer, as A(c) is
+    normal). Every eigenphase rises at a rate of at least
+    min(L) (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013),
+    so k eigenmomenta lie within reach = 2 asin((r + 4 n eps) / 2) /
+    min(L) of c, the slack covering rounding. When these intervals lie
+    inside (a, b] and are pairwise disjoint, each holds exactly its
+    group's multiplicity, and no eigenmomentum is missed.
     """
-    inside = (p > a) & (p <= b) & (moved <= REFINE_RTOL * np.maximum(1.0, np.abs(p)))
-    found = np.sort(p[inside])
-    if len(found) != count:
+    lengths = np.asarray(system[0].slot_length)
+    inside = (p > a) & (p <= b)
+    if np.count_nonzero(inside) != count or not np.all(np.isfinite(x[inside])):
         return None
-    groups = np.split(found, np.flatnonzero(np.diff(found) > ROOT_DEDUP_TOL) + 1)
-    for group in groups:
-        if len(group) > 1 and _crossings(sample(group[0] - 0.5 * ROOT_DEDUP_TOL),
-                                         sample(group[-1] + 0.5 * ROOT_DEDUP_TOL)) != len(group):
-            return None
-    return [(float(np.mean(group)), len(group)) for group in groups]
+    order = np.argsort(p[inside])
+    p, x = p[inside][order], x[inside][order]
+    groups = np.split(np.arange(count), np.flatnonzero(np.diff(p) > ROOT_DEDUP_TOL) + 1)
+    centres = np.array([np.mean(p[members]) for members in groups])
+    residual = np.empty(len(groups))
+    for k, (c, members) in enumerate(zip(centres, groups)):
+        q = x[members].T if len(members) == 1 else np.linalg.qr(x[members].T)[0]
+        residual[k] = np.linalg.norm(np.exp(-1j * c * lengths)[:, None] * q - system[1] @ q, 2)
+    slack = 4.0 * len(lengths) * np.finfo(float).eps
+    reach = 2.0 * np.arcsin(np.minimum(0.5 * (residual + slack), 1.0)) / np.min(lengths)
+    if not (centres[0] - reach[0] > a and centres[-1] + reach[-1] <= b
+            and np.all(centres[1:] - reach[1:] > centres[:-1] + reach[:-1])):
+        return None
+    return [(float(c), len(members)) for c, members in zip(centres, groups)]
 
 
 def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
@@ -579,8 +561,9 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     + sum phi(a)) / 2 pi for any a < b, from two phase samples. The
     range starts as one window. Beyn's contour integral around a window
     (_contour_estimates) and two refinement steps (_refine) place its
-    eigenmomenta, and it is kept only when its refined momenta match its
-    count (_certified). A window is split in two while it holds more
+    eigenmomenta, and it is kept only when the residuals of their null
+    vectors prove them all, with their multiplicities (_certified); phase
+    samples only cut windows. A window is split in two while it holds more
     than n / 2 eigenmomenta (n slots) and is wider than
     pi / (2 max(lengths)), and when its certification fails; both are
     cut by one rule, at the first sample from its centre in steps of a
@@ -625,8 +608,8 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
         if count == 0:
             continue
         if count <= cap or hi[0] - lo[0] <= narrow:
-            p, moved = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
-            found = _certified(sample, p, moved, lo[0], hi[0], count)
+            p, x = _refine(system, *_contour_estimates(system, lo[0], hi[0], count, probe))
+            found = _certified(system, p, x, lo[0], hi[0], count)
             if found is not None:
                 roots += found
                 continue

@@ -587,6 +587,17 @@ def one_error_line(capsys):
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_lengths_unit_outside_the_float_range_exits_1(tmp_path, capsys):
+    doc = read_json(gen(tmp_path, "fabry_perot"))
+    graph = tmp_path / "unit.json"
+    for unit in ("1e400", "1e-400"):
+        doc["lengths_unit"] = unit
+        graph.write_text(json.dumps(doc))
+        for command in ("stot", "poles"):
+            assert main([command, "--graph", str(graph)]) == 1, (unit, command)
+            assert one_error_line(capsys), (unit, command)
+
+
 def test_closed_stdout_pipe_exits_1_silently(tmp_path):
     graph = gen(tmp_path, "cube")
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -155,6 +155,11 @@ def test_lengths_unit_forms():
         doc["lengths_unit"] = bad
         with pytest.raises(SpecFileError):
             parse_spec(doc)
+    # rationals whose float is 0.0 or beyond the float range
+    for bad in ("1e400", "1e-400", "-1e400"):
+        doc["lengths_unit"] = bad
+        with pytest.raises(SpecFileError, match="positive finite float"):
+            parse_spec(doc)
 
 
 def test_vertex_locals_validation():

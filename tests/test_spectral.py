@@ -309,20 +309,40 @@ def test_symmetry_check_refuses_uneven_leads_and_misshapen_colours():
                               [mats[0], mats[1], np.eye(3)])
 
 
-def test_certified_refuses_a_group_the_count_disagrees_with():
-    # two refined momenta 1e-9 apart form one group of size 2; a phase
-    # sample that counts only one eigenmomentum around it refuses it
-    found = np.array([1.0, 1.0 + 1e-9])
-    moved = np.zeros(2)
-
-    def sampler(roots):
-        def sample(p):
-            return (p, spectral.TWO_PI * sum(r < p for r in roots), 1.0, 1.0)
-        return sample
-
-    (p, k), = spectral._certified(sampler(found), found, moved, 0.5, 1.5, 2)
-    assert k == 2 and abs(p - 1.0) < 1e-9
-    assert spectral._certified(sampler(found[:1]), found, moved, 0.5, 1.5, 2) is None
+def test_certified_proves_each_group_by_its_residual():
+    # K4's triple root at arccos(-1/3), the only eigenmomentum in
+    # (1.5, 2.5], certified from its three refined vectors
+    edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+    g = build_graph(GraphSpec(4, edges, ()))
+    locs, idx = [kirchhoff_local(v, 3) for v in range(4)], mode_index(g)
+    system = (idx, assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)])
+    probe = solve._probe_block(12, 12)
+    p, x = spectral._refine(system, *spectral._contour_estimates(system, 1.5, 2.5, 3, probe))
+    (c, k), = spectral._certified(system, p, x, 1.5, 2.5, 3)
+    assert k == 3 and abs(c - np.arccos(-1.0 / 3.0)) < 1e-14
+    # refused when one vector is a copy of another, so that they span
+    # less than the null space
+    copied = x.copy()
+    copied[1] = x[0]
+    assert spectral._certified(system, p, copied, 1.5, 2.5, 3) is None
+    # refused when one vector is turned off the null space by 0.1 rad
+    basis = np.linalg.qr(x.T)[0]
+    off = np.eye(12)[0] - basis @ basis[0].conj()
+    turned = x.copy()
+    turned[2] = np.cos(0.1) * x[2] + np.sin(0.1) * off / np.linalg.norm(off)
+    assert spectral._certified(system, p, turned, 1.5, 2.5, 3) is None
+    # refused, not raised, when a vector holds a NaN
+    broken = x.copy()
+    broken[0, 0] = np.nan
+    assert spectral._certified(system, p, broken, 1.5, 2.5, 3) is None
+    # refused when the group's interval crosses a window end
+    assert spectral._certified(system, p, x, 1.5, np.max(p), 3) is None
+    assert spectral._certified(system, p, x, np.min(p) - 1e-15, 2.5, 3) is None
+    # refused when two groups' intervals overlap: one vector placed at
+    # the root and 1.5e-8 beside it, a distance the second one's
+    # residual cannot rule out
+    twice = np.array([c, c + 1.5e-8])
+    assert spectral._certified(system, twice, x[[0, 0]], 1.5, 2.5, 2) is None
 
 
 def test_commuting_colour_matrices_properties():
@@ -420,7 +440,7 @@ def test_eigen_groups_keep_jordan_block_together():
     jordan = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     basis = np.array([[1.0, 2.0 + 1.0j], [-0.5j, 1.0]])
     for u in (jordan, basis @ jordan @ np.linalg.inv(basis)):
-        lam, _, _, groups = spectral._eigen_groups(u)
+        lam, _, _, groups = spectral._eigen_groups(u, np.linalg.eig(u), np.linalg.norm(u, 2))
         assert [len(members) for members in groups] == [2]
         assert abs(np.mean(lam) - 0.5) < 1e-12
 
@@ -531,6 +551,34 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
         assert sum(k for _, k in spectral.eigenmomenta(g, locs, idx, 0.1, 10.0)) == len(want)
         assert all(np.min(np.abs(got - p)) < 1e-12 for p in want)
         assert all(np.min(np.abs(want - p)) < 1e-12 for p in got)
+
+
+def test_eigenmomenta_with_complex_unitary_vertex_data():
+    # random compact graphs with loops, lengths k/10 and complex unitary
+    # involutions at the vertices, against the unit bond matrix's
+    # eigenvalues on the unit circle, zeta = exp(-0.1 i p)
+    rng = np.random.default_rng(5)
+    roots = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        pairs += [tuple(int(a) for a in rng.integers(0, n, size=2))
+                  for _ in range(int(rng.integers(1, 4)))]
+        g = build_graph(GraphSpec(n, tuple((a, b, int(rng.integers(5, 16)) / 10.0)
+                                           for a, b in pairs), ()))
+        idx = mode_index(g)
+        locs = random_locals(rng, g, idx, unitary=True)
+        bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
+        u, _, _ = spectral._bond_matrix(spectral._slot_powers(idx, 0.1), bond)
+        lam = np.linalg.eigvals(u)
+        phase = -np.angle(lam[np.abs(np.abs(lam) - 1.0) < 1e-8]) % (2 * np.pi)
+        want = np.sort([p for p in phase / 0.1 if 0.1 <= p <= 8.0])
+        groups = np.split(want, np.flatnonzero(np.diff(want) > 1e-8) + 1) if len(want) else []
+        got = spectral.eigenmomenta(g, locs, idx, 0.1, 8.0)
+        assert [k for _, k in got] == [len(group) for group in groups]
+        assert all(abs(p - group.mean()) < 1e-12 for (p, _), group in zip(got, groups))
+        roots += len(want)
+    assert roots > 300
 
 
 def test_eigenmomenta_high_multiplicities_and_wide_ranges():
@@ -788,35 +836,6 @@ def test_find_poles_keeps_bound_state_pairs_with_two_small_couplings():
 # --- one path through the spectrum engine -------------------------------
 
 
-def test_phase_sampler_falls_back_to_eigenvalues(monkeypatch):
-    # every sample, the first included, is a Cayley solve and an
-    # eigvalsh; a failed solve gives the same sample from eigvals
-    g, locs, idx = compact_rational_ring(21)
-    bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
-    lengths = np.asarray(idx.slot_length)
-    momenta = np.linspace(0.1, 10.0, 41)
-    calls = count_calls(monkeypatch, np.linalg, "eigvals")
-    sample = spectral._phase_sampler(bond, lengths)
-    want = [sample(p) for p in momenta]
-    assert calls == []
-
-    solves = []
-
-    def singular(*args, **kwargs):
-        solves.append(args)
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    sample = spectral._phase_sampler(bond, lengths)
-    got = [sample(p) for p in momenta]
-    # an exactly singular I + cU is not tried again
-    assert len(solves) == len(calls) == len(momenta)
-    for (p, total, low, high), (q, total_q, low_q, high_q) in zip(got, want):
-        assert p == q
-        assert abs(total - total_q) < 1e-12
-        assert abs(low - low_q) < 1e-12 and abs(high - high_q) < 1e-12
-
-
 def test_eigenmomenta_recover_from_failed_windows(monkeypatch):
     # six contour nodes misplace roots in some windows; such a window is
     # cut at its centre like a full one, and the pieces give the roots
@@ -858,7 +877,7 @@ def test_left_rows_refuse_an_inverse_that_fails_its_check():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     u = q @ (np.diag([1.0, 1.0, 1.0, 0.5]) + np.diag([1.0, 1.0, 0.0], 1)) @ q.conj().T
     assert spectral._left_rows(np.linalg.eig(u)[1]) is None
-    lam, right, left, groups = spectral._eigen_groups(u)
+    lam, right, left, groups = spectral._eigen_groups(u, np.linalg.eig(u), np.linalg.norm(u, 2))
     assert sorted(len(m) for m in groups) == [1, 3]
     (simple,) = [m[0] for m in groups if len(m) == 1]
     (block,) = [m for m in groups if len(m) == 3]
