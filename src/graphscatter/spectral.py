@@ -519,11 +519,11 @@ def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: 
     and A(c) = I - U(c) is normal with the singular values
     2 |sin(theta / 2)| over the eigenphases theta, so
     r = ||M(c) Q||_2 = ||A(c) Q||_2, with M(c) Q taken as D(c) Q - B Q,
-    bounds k of them by 2 asin(r / 2) (Courant-Fischer, as A(c) is
-    normal). Every eigenphase rises at a rate of at least
-    min(L) (Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013),
-    so k eigenmomenta lie within reach = 2 asin((r + 4 n eps) / 2) /
-    min(L) of c, the slack covering rounding. When these intervals lie
+    bounds k of them by 2 asin(r / 2) (Courant-Fischer). Every
+    eigenphase rises at a rate of at least min(L) (Berkolaiko &
+    Kuchment, Introduction to Quantum Graphs, 2013), so k eigenmomenta
+    lie within reach = 2 asin((r + 4 n eps) / 2) / min(L) of c, the
+    slack covering rounding. When these intervals lie
     inside (a, b] and are pairwise disjoint, each holds exactly its
     group's multiplicity, and no eigenmomentum is missed.
     """
