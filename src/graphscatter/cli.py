@@ -2,9 +2,10 @@
 
 Subcommands: stot, poles, spectrum, verify, equiv, generate. Output is
 a pure function of the input file and flags; reruns are byte
-identical, except that the last digits of a pole's zeta can move with
-the BLAS thread count (the order, multiplicities and removability of
-the poles do not). Exit codes: 0 success, 1 file or parse problem, 2 invalid
+identical. BLAS runs on one thread (see below); when a caller picks
+another thread count, the last digits of a pole's zeta can move with
+it (the order, multiplicities and removability of the poles do not).
+Exit codes: 0 success, 1 file or parse problem, 2 invalid
 input data (non-finite numbers included), 3 numerical failure
 (including verify/equiv tolerance violations, stray numpy LinAlgErrors
 and running out of memory).
@@ -32,7 +33,17 @@ import math
 import os
 import sys
 
-import numpy as np
+# Every matrix the CLI factors has at most a few hundred rows. At that
+# size a second BLAS thread buys no wall time and spins while it
+# waits, so the process runs BLAS on one thread. A caller who sets any
+# of these variables keeps its value (an empty one counts as unset, as
+# OpenBLAS reads it), and a process that loaded numpy first keeps the
+# threads it has.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(name) for name in BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+
+import numpy as np  # noqa: E402  (after the thread count is set)
 
 from .errors import NumericalError, SpecFileError, ValidationError
 from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic, triangle_and_star_pair

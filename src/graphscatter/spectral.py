@@ -140,7 +140,7 @@ class SecularPolynomial:
     bond: BondSystem | None
 
     def __call__(self, zeta: complex) -> complex:
-        return complex(np.polynomial.polynomial.polyval(zeta, self.coefficients))
+        return complex(np.polyval(self.coefficients[::-1], zeta))
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,9 @@ def _bond_matrix(powers, bond: np.ndarray):
     """
     last = np.cumsum(powers) - 1
     first = last - np.asarray(powers) + 1
-    chain = np.setdiff1d(np.arange(last[-1]), last)
+    is_chain = np.ones(last[-1] + 1, dtype=bool)
+    is_chain[last] = False
+    chain = np.flatnonzero(is_chain)
     u = np.zeros((last[-1] + 1, last[-1] + 1), dtype=complex)
     u[chain, chain + 1] = 1.0
     u[np.ix_(last, first)] = bond
@@ -230,7 +232,10 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     bond = None
     if degree > 0:
         u, first, last = _bond_matrix(powers, e0_s22)
-        eigs, right = np.linalg.eig(u)
+        # real vertex data (Kirchhoff among them) give a real U, whose
+        # real eig costs well under half of the complex one
+        eigs, right = np.linalg.eig(u if u.imag.any() else u.real)
+        eigs, right = eigs.astype(complex, copy=False), right.astype(complex, copy=False)
         n_nodes = degree + 1
         nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
         values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
@@ -242,7 +247,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
         snapped = replace(idx, slot_length=tuple(m * unit for m in powers))
         for j in range(8):
             p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
-            fitted = np.polynomial.polynomial.polyval(np.exp(-1j * p * unit), coeffs)
+            fitted = np.polyval(coeffs[::-1], np.exp(-1j * p * unit))
             direct = secular_determinant(g, resolved, snapped, p)
             if not abs(fitted - direct) <= COEFFICIENT_RTOL * scale:  # also catches NaN
                 raise FitResidualTooLarge(
@@ -317,7 +322,8 @@ def _eigen_groups(u: np.ndarray, eigen, norm: float):
         if np.array_equal(merged, group_of):
             break
         group_of = merged
-    labels = np.unique(group_of)
+    # a group's label is its smallest member
+    labels = np.flatnonzero(group_of == np.arange(len(lam)))
     groups = [np.flatnonzero(group_of == label) for label in labels]
     if left is None:
         left = np.full_like(right, np.nan)

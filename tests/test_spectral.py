@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,42 @@ def test_find_poles_lead_ring_keeps_lowest_resonance():
     assert sum(rec.multiplicity for rec in everything) == poly.degree_bound
 
 
+def test_find_poles_match_eigenvalues_of_real_and_complex_bond_matrices():
+    # Kirchhoff data give a real U, which secular_polynomial decomposes
+    # with the real eig, and complex unitary vertex data a complex U; the
+    # poles must be the eigenvalues of U, and on real U carry the groups
+    # and removable flags of a complex eig
+    rng = np.random.default_rng(3)
+    for seed in range(20):
+        g, locs, idx = lead_ring(20 + seed, seed)
+        systems = [locs]
+        if seed % 4 == 0:
+            systems.append([random_involutive(rng, v, g.degree(v), unitary=True)
+                            for v in range(g.vertex_count)])
+        for locals_ in systems:
+            poly = secular_polynomial(g, locals_, idx, 1.0)
+            bond = poly.bond
+            assert bond.u.imag.any() == (locals_ is not locs)
+            got = find_poles(poly, include_removable=True)
+            lam = np.linalg.eigvals(bond.u)
+            lam = lam[np.abs(lam) > 1e-8]
+            nearest = np.argmin(np.abs(lam[:, None] - np.array([r.zeta for r in got])[None, :]),
+                                axis=1)
+            assert sum(r.multiplicity for r in got) == len(lam)
+            for k, rec in enumerate(got):
+                members = lam[nearest == k]
+                assert len(members) == rec.multiplicity
+                assert abs(np.mean(members) - rec.zeta) < 1e-12
+            if locals_ is locs:
+                eigs, right = np.linalg.eig(bond.u)
+                want = find_poles(replace(poly, bond=replace(bond, eigenvalues=eigs,
+                                                             eigenvectors=right)),
+                                  include_removable=True)
+                assert [(r.multiplicity, r.removable) for r in got] == \
+                    [(r.multiplicity, r.removable) for r in want]
+                assert max(abs(a.zeta - b.zeta) for a, b in zip(got, want)) < 1e-12
+
+
 def test_find_poles_dodecahedron_second_family():
     g, _ = platonic("dodecahedron")
     idx = mode_index(g)
@@ -539,7 +577,9 @@ def test_compact_spectrum_finds_every_root_of_rational_ring():
         g, locs, idx = compact_rational_ring(seed)
         bond = assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)]
         u, _, _ = spectral._bond_matrix(spectral._slot_powers(idx, 0.1), bond)
-        lam = np.linalg.eigvals(u)
+        # Kirchhoff data: U is real, and the real eigvals is much cheaper
+        assert not u.imag.any()
+        lam = np.linalg.eigvals(u.real)
         # zeta = exp(-0.1 i p) on the unit circle; one period covers [0.1, 10]
         on_circle = lam[np.abs(np.abs(lam) - 1.0) < 1e-8]
         want = np.sort([p for p in -np.angle(on_circle) / 0.1 if 0.1 <= p <= 10.0])
