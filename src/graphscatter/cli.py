@@ -21,8 +21,12 @@ hundreds of thousands of floats on a large grid, is built as text: its
 matrices are filled into one ``%s`` template per shape with the
 ``float.__repr__`` of their values, since ``json.dumps`` with ``indent``
 encodes value by value in pure Python (through Python 3.13 at least).
-Non-finite values that are not flagged near a pole exit 3 before
-anything is written.
+stot's values, in JSON and CSV alike, are formatted a block of whole
+momenta at a time, once per distinct bit pattern in the block
+(``_formatted_rows``): on a symmetric graph an automorphism that maps
+one pair of leads onto another repeats an entry of S_tot(p), often bit
+for bit, and formatting is most of such a job's time. Non-finite values
+that are not flagged near a pole exit 3 before anything is written.
 """
 
 from __future__ import annotations
@@ -57,6 +61,17 @@ __all__ = ["main", "build_parser"]
 
 VERIFY_DEFAULT_TOL = 1e-8
 EQUIV_DEFAULT_TOL = 1e-10
+
+# Values per block of whole momenta that _formatted_rows formats
+# together. The repeats it exploits lie within one momentum, so a block
+# needs only whole rows. On a generic graph nearly every value is
+# distinct and the sort is pure cost: for k = 20 and 256 momenta of
+# distinct values, one np.unique over the whole grid made _stot_pieces
+# 1.15-1.34x slower than formatting each value, blocks of this size
+# about 1.1x (2 vCPUs), since a small block keeps its sort and its
+# strings in cache while still spreading np.unique's per-call cost over
+# thousands of values.
+FORMAT_BLOCK_VALUES = 2 ** 14
 
 
 def _parse_p_list(text: str):
@@ -143,7 +158,10 @@ def _momentum_grid(args) -> list:
 
 
 def _cell(x) -> str:
-    # null as nan, bools and ints as integers, floats to 17 digits (round-trip)
+    # null as nan, bools and ints as integers, floats to 17 digits
+    # (round-trip); text is a cell _formatted_rows has formatted already
+    if isinstance(x, str):
+        return x
     if x is None:
         return "nan"
     if isinstance(x, int):
@@ -201,21 +219,36 @@ def _entry_parts(mat):
         return np.stack([mat.real, mat.imag, np.abs(mat) ** 2], axis=-1)
 
 
+def _formatted_rows(values, fmt):
+    """The rows of the (P, m) float64 array values as lists of fmt(v),
+    one row at a time. Blocks of whole rows of about FORMAT_BLOCK_VALUES
+    values are formatted together, and fmt runs once per distinct bit
+    pattern in a block, so -0.0 and 0.0 stay apart."""
+    step = max(1, FORMAT_BLOCK_VALUES // max(1, values.shape[1]))
+    for start in range(0, len(values), step):
+        block = values[start:start + step]
+        bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+        text = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+        yield from text[inverse].reshape(block.shape).tolist()
+
+
 def _stot_pieces(k, grid, flags, parts) -> list:
     """The text of json.dumps(doc, indent=2) of stot's document over a
     grid of at least one momentum, in pieces: the (P, k, k, 3) parts of
     each unflagged momentum fill one template for its matrix and abs2
-    values, which must be finite (_refuse_non_finite checks them)."""
+    values, which must be finite (_refuse_non_finite checks them). The
+    values are formatted by _formatted_rows, each distinct bit pattern
+    once per block of momenta."""
     values = np.concatenate([parts[..., :2].reshape(len(grid), 2 * k * k),
-                             parts[..., 2].reshape(len(grid), k * k)], axis=1).tolist()
+                             parts[..., 2].reshape(len(grid), k * k)], axis=1)
     filled = ('      "matrix": %s,\n      "abs2": %s\n    }'
               % (_array_template((k, k, 2), 3), _array_template((k, k), 3)))
     records = [
         '\n    {\n      "p": %s,\n      "near_pole": %s,\n'
         % (float.__repr__(p), "true" if flagged else "false")
         + ('      "matrix": null,\n      "abs2": null\n    }' if flagged
-           else filled % tuple(map(float.__repr__, row)))
-        for p, flagged, row in zip(grid, flags, values)
+           else filled % tuple(row))
+        for p, flagged, row in zip(grid, flags, _formatted_rows(values, float.__repr__))
     ]
     return ['{\n  "command": "stot",\n  "external_modes": %d,\n  "results": [' % k,
             ",".join(records), "\n  ]\n}"]
@@ -240,8 +273,8 @@ def cmd_stot(args) -> int:
         "%s_%d_%d" % (name, i + 1, j + 1)
         for i in range(k) for j in range(k) for name in ("re", "im", "abs2")
     ]
-    rows = ([p, flagged, *part.ravel().tolist()]
-            for p, flagged, part in zip(grid, flags, parts))
+    rows = ([p, flagged, *cells] for p, flagged, cells
+            in zip(grid, flags, _formatted_rows(parts.reshape(len(grid), 3 * k * k), _cell)))
     _emit(args, lambda: _stot_pieces(k, grid, flags, parts), header, rows)
     return 0
 

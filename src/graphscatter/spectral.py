@@ -172,16 +172,27 @@ def secular_determinant(g: Graph, locals_, idx: ModeIndex, p: complex) -> comple
 
 
 def _slot_powers(idx: ModeIndex, unit: float) -> tuple[int, ...]:
+    """The bond count length / unit of every slot; refuses a ratio that
+    is no integer or beyond the float range, and (MemoryError) a total
+    that no array can hold, before anything is allocated."""
     if not (unit > 0):
         raise ValidationError("unit length must be positive, got %r" % unit)
     powers = []
     for length in idx.slot_length:
-        m = round(length / unit)
+        ratio = length / unit
+        if not math.isfinite(ratio):
+            raise IncommensurableLengths(
+                "edge length %r over unit %r is beyond the float range" % (length, unit)
+            )
+        m = round(ratio)
         if m < 1 or abs(length - m * unit) > 1e-9 * unit:
             raise IncommensurableLengths(
                 "edge length %r is not an integer multiple of unit %r" % (length, unit)
             )
         powers.append(m)
+    if not sum(powers) < MAX_GRID_POINTS:
+        raise MemoryError("%.3g bonds of unit %r exceed numpy's array size limit"
+                          % (sum(powers), unit))
     return tuple(powers)
 
 
@@ -601,9 +612,16 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     if not total < MAX_GRID_POINTS:
         raise MemoryError("[%r, %r] holds %.3g eigenmomenta, beyond numpy's array size limit"
                           % (p_min, p_max, total))
+    # the phase of a mode at p = 0 can sit within rounding of 0 at both
+    # ends (a graph so short that p L stays below CUT_GAP), and reading it
+    # as 0 at one end and 2 pi at the other makes the count negative
+    count = round(total)
+    if count < 0:
+        raise NumericalError("spectrum: the phase samples count %d eigenmomenta in [%r, %r]"
+                             % (count, p_min, p_max))
     # the result must hold them all; numpy refuses at once to allocate an
     # array of them that the address space or the memory cannot hold
-    np.empty(round(total))
+    np.empty(count)
     system = (idx, bond)
     probe = _probe_block(n, n)
     cap = max(1, n // 2)

@@ -684,9 +684,41 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
         ["spectrum", "--graph", compact, "--p-min", "0.1", "--p-max", "1e300"],
         # 2**50 bonds per slot
         ["poles", "--graph", tetra, "--unit", repr(2.0**-50)],
+        # 1e294 bonds per slot, beyond numpy's array size limit
+        ["poles", "--graph", line2_file(tmp_path, edge_and_unit(1e300, 1e6))],
     ):
         assert main(argv) == 3, argv
         assert one_error_line(capsys), argv
+
+
+def edge_and_unit(length, unit):
+    def edit(doc):
+        doc["internal_edges"][0]["length"] = length
+        doc["lengths_unit"] = unit
+    return edit
+
+
+def test_poles_length_unit_ratio_beyond_the_float_range_exits_2(tmp_path, capsys):
+    graph = line2_file(tmp_path, edge_and_unit(1e150, 1e-300))
+    assert main(["poles", "--graph", graph]) == 2
+    assert capsys.readouterr().err == \
+        "error: edge length 1e+150 over unit 1e-300 is beyond the float range\n"
+
+
+def test_spectrum_negative_root_count_exits_3(tmp_path, capsys):
+    # a Kirchhoff path of lengths 3L, 2L, 2L holds no eigenmomentum below
+    # pi / 7L, and p L stays within rounding of 0 over the whole range
+    for scale, p_max in ((1e-50, "6.3"), (1e-100, "60"), (1e-200, "60"), (1e-300, "60")):
+        g = build_graph(GraphSpec(4, ((0, 1, 3 * scale), (1, 2, 2 * scale), (2, 3, 2 * scale)),
+                                  ()))
+        graph = tmp_path / "path.json"
+        save_spec(graph_to_spec(g, [kirchhoff_local(v, g.degree(v)) for v in range(4)],
+                                unit=scale), graph)
+        argv = ["spectrum", "--graph", str(graph), "--p-min", "0.1", "--p-max", p_max]
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: spectrum: the phase samples count -1 eigenmomenta"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 @pytest.mark.parametrize("where, value", [
@@ -814,17 +846,23 @@ def test_json_and_csv_outputs_agree(tmp_path):
     assert {("verify", 3), ("equiv", 3)} <= outcomes
 
 
-def test_stot_pieces_match_json_dumps():
-    special = [-0.0, 5e-324, 1e16, 1e308, 1 / 3]
+def test_stot_pieces_match_json_dumps(tmp_path):
+    # values drawn half from a pool repeat within and across rows, and
+    # put 0.0 beside -0.0 in one block; flagged rows hold nan and inf
+    pool = np.array([0.0, -0.0, 5e-324, 1e16, 1e308, 1 / 3, -1 / 3])
     rng = np.random.default_rng(3)
     for k in (0, 1, 3):
-        for count in (1, 4):
+        # the last count crosses a block boundary of _formatted_rows
+        for count in (1, 4, cli.FORMAT_BLOCK_VALUES // max(1, 3 * k * k) + 2):
             grid = [float(p) for p in rng.uniform(0.1, 6.3, count)]
             grid[0] = -0.0
-            parts = rng.standard_normal((count, k, k, 3))
-            flat = parts.reshape(-1)
-            flat[:len(special)] = special[:flat.size]
+            shape = (count, k, k, 3)
+            finite = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                              rng.standard_normal(shape))
             for flags in ([False] * count, [True] * count, [i % 2 == 1 for i in range(count)]):
+                parts = finite.copy()
+                parts[np.array(flags), ..., 0] = np.nan
+                parts[np.array(flags), ..., 2] = np.inf
                 doc = {"command": "stot", "external_modes": k, "results": [
                     {"p": p, "near_pole": flagged,
                      "matrix": None if flagged else part[..., :2].tolist(),
@@ -832,6 +870,19 @@ def test_stot_pieces_match_json_dumps():
                     for p, flagged, part in zip(grid, flags, parts)]}
                 text = "".join(cli._stot_pieces(k, grid, flags, parts))
                 assert text == json.dumps(doc, indent=2, allow_nan=False), (k, count, flags)
+                values = parts.reshape(count, 3 * k * k)
+                for fmt in (float.__repr__, cli._cell):  # the JSON and CSV formats
+                    assert list(cli._formatted_rows(values, fmt)) == \
+                        [list(map(fmt, row)) for row in values.tolist()], (k, count, flags)
+    # the cube's Kirchhoff S_tot(p) repeats most of its entries
+    out = tmp_path / "cube.json"
+    assert main(["stot", "--graph", gen(tmp_path, "cube"), "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    first = doc["results"][0]
+    values = np.concatenate([np.ravel(first["matrix"]), np.ravel(first["abs2"])])
+    assert len(np.unique(values)) < len(values) / 2
 
 
 def line2_file(tmp_path, edit, name="graph.json"):
