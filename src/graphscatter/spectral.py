@@ -11,39 +11,40 @@ next one, and the last bond of slot s applies row partner(s) of s22.
 Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U). secular_polynomial
 builds U once and keeps it, with its one eigendecomposition
 U = V diag(lambda) V^-1, beside the lead couplings. That
-eigendecomposition gives the polynomial, and find_poles reads the
-poles with their multiplicities from it: the rows of V^-1 are the left
-eigenvectors (Golub & Van Loan, Matrix Computations, sec. 7.2), so the
-error bound of every eigenvalue and the lead couplings s12 V and
-V^-1 E(0) s21, whose products are the residues that tell genuine poles
-from removable determinant zeros, cost one inverse. Only where V^-1 V
-is far from I, on Jordan blocks and nilpotent bond chains, is U^T
-decomposed as well.
+eigendecomposition gives the polynomial on first use, and find_poles
+reads the poles with their multiplicities from it: the rows of V^-1
+are the left eigenvectors (Golub & Van Loan, Matrix Computations,
+sec. 7.2), so the error bound of every eigenvalue and the lead
+couplings s12 V and V^-1 E(0) s21, whose products are the residues
+that tell genuine poles from removable determinant zeros, cost one
+inverse. Only where V^-1 V is far from I, on Jordan blocks and
+nilpotent bond chains, is U^T decomposed as well.
 
 Compact spectra need no commensurability: for constant unitary vertex
 matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
 the eigenmomenta are the momenta where an eigenphase crosses 0 mod
 2 pi. The sum of the principal eigenphases counts these crossings
-exactly between any two momenta (Berkolaiko & Kuchment, Introduction
-to Quantum Graphs, 2013). Splitting the range on these counts gives
-windows of a few eigenmomenta each. In each window Beyn's contour
-integral (W.-J. Beyn, Linear Algebra Appl. 436, 3839, 2012) over
-trapezoid nodes, which converge exponentially (Trefethen & Weideman,
-SIAM Rev. 56, 385, 2014), places the eigenmomenta, and two refinement
-steps polish them. Both solve with the sweeps' matrix
-M(p) = E(0) (E(p) - s22) = D(p) - B, D(p) = diag(exp(-i p d_s)) and
-B = E(0) s22, which is D(p) A(p) with A(p) = I - U(p), so it has the
-zeros and null vectors of A(p). The residual of the refined null
-vectors puts each root within a proven reach of its momentum, and
-disjoint reaches inside the window that add up to its count certify
-that none is missing.
+exactly between any two momenta where none is near 0 (Berkolaiko &
+Kuchment, Introduction to Quantum Graphs, 2013). Splitting the range
+on these counts gives windows of a few eigenmomenta each. In each
+window Beyn's contour integral (W.-J. Beyn, Linear Algebra Appl. 436,
+3839, 2012) over trapezoid nodes, which converge exponentially
+(Trefethen & Weideman, SIAM Rev. 56, 385, 2014), places the
+eigenmomenta, and two refinement steps polish them. Both solve with
+the sweeps' matrix M(p) = E(0) (E(p) - s22) = D(p) - B,
+D(p) = diag(exp(-i p d_s)) and B = E(0) s22, which is D(p) A(p) with
+A(p) = I - U(p), so it has the zeros and null vectors of A(p). The
+residual of the refined null vectors puts each root within a proven
+reach of its momentum, and disjoint reaches inside the window that add
+up to its count certify that none is missing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,14 +131,39 @@ class SecularPolynomial:
     length/unit over all directed internal slots, which is also the
     size of the unit bond matrix whose characteristic polynomial this
     is. bond holds that matrix with the lead couplings for find_poles;
-    it is None when there are no internal edges.
+    it is None when there are no internal edges. find_poles reads no
+    coefficient, and they are computed on first use.
     """
 
     unit_length: float
-    coefficients: np.ndarray
     degree_bound: int
     slot_powers: tuple[int, ...]
     bond: BondSystem | None
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """det(E(0)) times the inverse DFT of prod_k (nu - lambda_k) over
+        the D + 1 roots of unity nu, for the eigenvalues lambda_k of U and
+        D = degree_bound, checked at 8 held-out momenta against the LU
+        determinant det(E(0)) det(D(p) - B), B read back from U."""
+        coeffs, bond = np.ones(1, dtype=complex), self.bond
+        if bond is not None:
+            n_nodes = self.degree_bound + 1
+            nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
+            # E(0) pairs the slots of every edge, one transposition per edge
+            sign = (-1) ** (len(self.slot_powers) // 2)
+            coeffs = sign * np.fft.ifft(np.prod(nodes[:, None] - bond.eigenvalues, axis=1))
+            p = 2.0 * np.pi * (np.arange(8) + 0.5) / (n_nodes * self.unit_length)
+            b = bond.u[np.ix_(bond.last, bond.first)]
+            # lengths within the commensurability tolerance are taken as exact
+            d = np.exp(-1j * p[:, None] * (self.unit_length * np.asarray(self.slot_powers)))
+            direct = sign * np.array([np.linalg.det(np.diag(dj) - b) for dj in d])
+            residual = np.max(np.abs(np.polyval(coeffs[::-1], np.exp(-1j * p * self.unit_length))
+                                     - direct))
+            if not residual <= COEFFICIENT_RTOL * np.max(np.abs(coeffs)):  # also catches NaN
+                raise FitResidualTooLarge("polynomial residual %.3e at held-out point" % residual)
+        coeffs.flags.writeable = False
+        return coeffs
 
     def __call__(self, zeta: complex) -> complex:
         return complex(np.polyval(self.coefficients[::-1], zeta))
@@ -229,17 +255,13 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     """Polynomial form of the secular determinant.
 
     Requires constant vertex matrices and all edge lengths integer
-    multiples of the unit. The coefficients are det(E(0)) times the
-    inverse discrete Fourier transform of prod_k (nu - lambda_k) over
-    the D + 1 roots of unity nu, where lambda_k are the eigenvalues of
-    the unit bond matrix and D is the degree bound. The result is
-    checked against secular_determinant at 8 held-out momenta.
+    multiples of the unit. Builds only the BondSystem; the coefficients
+    and their held-out check follow from it on first use.
     """
     resolved, (_, s12, e0_s21, e0_s22) = _constant_blocks(g, locals_, idx, NonConstantLocals,
                                                           "polynomial form")
     powers = _slot_powers(idx, unit)
     degree = sum(powers)
-    coeffs = np.ones(1, dtype=complex)
     bond = None
     if degree > 0:
         u, first, last = _bond_matrix(powers, e0_s22)
@@ -247,23 +269,6 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
         # real eig costs well under half of the complex one
         eigs, right = np.linalg.eig(u if u.imag.any() else u.real)
         eigs, right = eigs.astype(complex, copy=False), right.astype(complex, copy=False)
-        n_nodes = degree + 1
-        nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
-        values = np.prod(nodes[:, None] - eigs[None, :], axis=1)
-        # E(0) pairs the slots of every edge, one transposition per edge
-        coeffs = (-1) ** g.n_internal * np.fft.ifft(values)
-
-        scale = float(np.max(np.abs(coeffs)))
-        # lengths within the commensurability tolerance are taken as exact
-        snapped = replace(idx, slot_length=tuple(m * unit for m in powers))
-        for j in range(8):
-            p = 2.0 * np.pi * (j + 0.5) / (n_nodes * unit)
-            fitted = np.polyval(coeffs[::-1], np.exp(-1j * p * unit))
-            direct = secular_determinant(g, resolved, snapped, p)
-            if not abs(fitted - direct) <= COEFFICIENT_RTOL * scale:  # also catches NaN
-                raise FitResidualTooLarge(
-                    "polynomial residual %.3e at held-out point" % abs(fitted - direct)
-                )
         # U is a shift on the chain bonds plus rows of s22 on the last
         # bonds, in disjoint rows and columns, so ||U|| is the larger of 1
         # (with a chain) and ||s22||, the largest 2-norm of the internal
@@ -274,25 +279,21 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
             for loc, ext in zip(resolved, idx.vertex_external)))
         bond = BondSystem(u, eigs, right, float(u_norm), first, last, s12, e0_s21,
                           float(vertex_norm))
-
-    coeffs.flags.writeable = False
-    return SecularPolynomial(unit_length=unit, coefficients=coeffs, degree_bound=degree,
-                             slot_powers=powers, bond=bond)
+    return SecularPolynomial(unit, degree, powers, bond)
 
 
 def _left_rows(right: np.ndarray):
     """V^-1 for the right eigenvectors V when it passes the certificate
-    max |V^-1 V - I| <= BIORTHOGONAL_TOL with every entry finite, else
+    max |V^-1 V - I| <= BIORTHOGONAL_TOL with finite row norms, else
     None (V singular, as on Jordan blocks and nilpotent bond chains)."""
     try:
         left = np.linalg.inv(right)
     except np.linalg.LinAlgError:
         return None
     with np.errstate(all="ignore"):
-        defect = np.abs(left @ right - np.eye(len(right)))
-    if np.all(np.isfinite(left)) and np.max(defect, initial=0.0) <= BIORTHOGONAL_TOL:
-        return left
-    return None
+        defect = np.max(np.abs(left @ right - np.eye(len(right))), initial=0.0)
+        finite = np.all(np.isfinite(np.linalg.norm(left, axis=1)))
+    return left if finite and defect <= BIORTHOGONAL_TOL else None
 
 
 def _eigen_groups(u: np.ndarray, eigen, norm: float):
@@ -443,13 +444,13 @@ def _crossings(lo, hi) -> int:
 
 def _cut(sample, p: float, step: float):
     """The phase sample at the first of p, p + step, p + 2 step and
-    p + 3 step where every eigenphase is at least CUT_GAP from 0, or at
-    the last of them."""
+    p + 3 step where every eigenphase is at least CUT_GAP from 0; a
+    NumericalError when there is none."""
     for k in range(4):
         s = sample(p + k * step)
         if min(s[2], TWO_PI - s[3]) >= CUT_GAP:
-            break
-    return s
+            return s
+    raise NumericalError("spectrum: no eigenphase sample near p=%r is clear of 0" % p)
 
 
 def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray):
@@ -500,7 +501,9 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     estimate at once, chunk by chunk.
 
     A'(p) = -i diag(L) U(p) is -i diag(L) on the null vectors of A(p),
-    so a step solves A(p) y = diag(L) x, the constant -i dropped, as
+    so a step solves A(p) y = diag(L) x, the constant -i dropped and L
+    scaled exactly, by a power of two, into [1/2, 1) so that |y|^2 of
+    very short edges cannot underflow to 0, as
     M(p) y = D(p) diag(L) x on M(p) = D(p) A(p) (_resolvent_stack),
     normalises y, and moves p by the Newton step of y^H A(p) y, with
     A(p) y read as D(-p) M(p) y: U(p) is unitary at real p, so the left
@@ -509,12 +512,13 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     last step. An exactly singular M(p) leaves p and x as they are.
     """
     lengths = np.asarray(system[0].slot_length)
+    scaled = np.ldexp(lengths, -np.frexp(lengths.max())[1])
     p, x = p.copy(), x.copy()
     for part in _chunks(len(lengths), len(p)):
         for _ in range(2):
             m = _resolvent_stack(*system, p[part])
             phase = np.exp(-1j * p[part, None] * lengths)
-            y, singular = _solve(m, (phase * lengths * x[part])[..., None])
+            y, singular = _solve(m, (phase * scaled * x[part])[..., None])
             y = np.where(singular[:, None], x[part], y[..., 0])
             y /= np.linalg.norm(y, axis=1, keepdims=True)
             ay = (m @ y[..., None])[..., 0] / phase
@@ -584,8 +588,9 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     than n / 2 eigenmomenta (n slots) and is wider than
     pi / (2 max(lengths)), and when its certification fails; both are
     cut by one rule, at the first sample from its centre in steps of a
-    sixteenth of its width where no phase is near 0 (_cut). A window no
-    wider than ROOT_DEDUP_TOL that still fails raises a NumericalError,
+    sixteenth of its width where no phase is near 0 (_cut). A cut with no
+    such sample, or a window no wider than ROOT_DEDUP_TOL that still
+    fails, raises a NumericalError,
     and a range holding more eigenmomenta than an array can a
     MemoryError.
     """
@@ -612,16 +617,9 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     if not total < MAX_GRID_POINTS:
         raise MemoryError("[%r, %r] holds %.3g eigenmomenta, beyond numpy's array size limit"
                           % (p_min, p_max, total))
-    # the phase of a mode at p = 0 can sit within rounding of 0 at both
-    # ends (a graph so short that p L stays below CUT_GAP), and reading it
-    # as 0 at one end and 2 pi at the other makes the count negative
-    count = round(total)
-    if count < 0:
-        raise NumericalError("spectrum: the phase samples count %d eigenmomenta in [%r, %r]"
-                             % (count, p_min, p_max))
     # the result must hold them all; numpy refuses at once to allocate an
     # array of them that the address space or the memory cannot hold
-    np.empty(count)
+    np.empty(round(total))
     system = (idx, bond)
     probe = _probe_block(n, n)
     cap = max(1, n // 2)
@@ -760,7 +758,6 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
         for _ in range(count):
             left = np.polymul(left, factor)
 
-    assembled = secular_polynomial(g, resolved, idx, unit)
-    right = np.asarray(assembled.coefficients)[::-1]
+    right = secular_polynomial(g, resolved, idx, unit).coefficients[::-1]
     tol = COEFFICIENT_RTOL * float(np.max(np.abs(right)))
     return bool(np.max(np.abs(np.polysub(left, right))) <= tol)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from graphscatter import (
     symmetry_factor_check,
     tetra2_local,
 )
-from graphscatter import solve, spectral
+from graphscatter import cli, solve, spectral
 from _helpers import (compact_rational_ring, count_calls, random_graph, random_involutive,
                       random_locals)
 
@@ -194,6 +195,20 @@ def test_compact_spectrum_scaled_interval():
     want = [n * np.pi / length for n in range(1, 6)]
     assert len(got) == len(want)
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-8
+
+
+def test_compact_spectrum_of_very_short_loops_matches_the_scaled_graph():
+    # |y|^2 of lengths near 1e-300 underflows unless _refine scales them
+    def loops(scale):
+        g = build_graph(GraphSpec(1, ((0, 0, 2 * scale), (0, 0, 3 * scale)), ()))
+        return g, [kirchhoff_local(0, 4)], mode_index(g)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = spectral.eigenmomenta(*loops(1e-300), 1e300, 3e300)
+    want = spectral.eigenmomenta(*loops(1.0), 1.0, 3.0)
+    assert [k for _, k in got] == [k for _, k in want] == [1, 1, 1]
+    assert max(abs(p / 1e300 - q) / q for (p, _), (q, _) in zip(got, want)) < 1e-12
 
 
 def test_compact_spectrum_validates():
@@ -496,14 +511,27 @@ def test_real_roots_have_zero_imaginary_part():
     assert minus_one.p_representative.real == -np.pi
 
 
-def test_polynomial_checks_against_secular_determinant(monkeypatch):
+def test_polynomial_checks_its_coefficients_on_first_use(tmp_path, monkeypatch, capsys):
     g, locs, idx = interval_system()
-    exact = spectral.secular_determinant
-    monkeypatch.setattr(
-        spectral, "secular_determinant", lambda *args: exact(*args) + 1e-6
-    )
+    poly = secular_polynomial(g, locs, idx, 1.0)
+    off = replace(poly, bond=replace(poly.bond, eigenvalues=poly.bond.eigenvalues + 1e-6))
     with pytest.raises(FitResidualTooLarge):
-        secular_polynomial(g, locs, idx, 1.0)
+        off.coefficients
+    find_poles(poly)
+    assert "coefficients" not in vars(poly)
+    # poles reports from the bond system alone: no coefficient is formed
+    graph = str(tmp_path / "tetrahedron.json")
+    assert cli.main(["generate", "tetrahedron", "--out", graph]) == 0
+    argv = ["poles", "--graph", graph, "--include-removable"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poles computed the polynomial coefficients")
+
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_compact_spectrum_ranges_that_land_on_roots():
@@ -899,6 +927,18 @@ def test_eigenmomenta_recover_from_failed_windows(monkeypatch):
         assert any(failed), seed
         assert [k for _, k in got] == [k for _, k in want]
         assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) < 1e-13
+
+
+def test_left_rows_refuse_an_inverse_whose_row_norms_overflow():
+    # V^-1 = [[1, -1e200], [0, 1e200]] is finite and V^-1 V = I, but its
+    # row norms overflow; the groups then come from the eig(u^T) fallback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert spectral._left_rows(np.array([[1.0, 1.0], [0.0, 1e-200]])) is None
+        u = np.array([[0.0, 1.0], [0.0, 1e-200]])
+        lam, _, _, groups = spectral._eigen_groups(u, np.linalg.eig(u), np.linalg.norm(u, 2))
+    assert [len(members) for members in groups] == [2]
+    assert np.max(np.abs(lam)) <= 1e-200
 
 
 def test_left_rows_refuse_an_inverse_that_fails_its_check():
