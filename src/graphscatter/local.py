@@ -68,9 +68,9 @@ class LocalScattering:
 
 def _as_square(entries, vertex: int) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise SizeMismatch(
-            "matrix for vertex %d has shape %r, expected square" % (vertex, mat.shape)
+            "matrix for vertex %d has shape %r, expected nonempty square" % (vertex, mat.shape)
         )
     return mat
 
@@ -116,6 +116,8 @@ def momentum_local(
     S(p)^dagger S(p) = I holds at every one of them as well. The
     evaluator must be pure.
     """
+    if size < 1:
+        raise SizeMismatch("size must be at least 1, got %d" % size)
     loc = LocalScattering(vertex, size, constant=None, evaluator=evaluator, unitary=False)
     unitary = True
     for p in _SAMPLE_MOMENTA:
@@ -169,13 +171,13 @@ def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
     within 1e-12.
 
     ``cycle`` permutes the internal slots 0..n-1 of a vertex with one
-    external slot and n internal slots, and must be a single n-cycle.
+    external slot and n >= 1 internal slots, and must be a single n-cycle.
     """
     cycle = list(cycle)
     n = s.size - 1
-    if len(cycle) != n or sorted(cycle) != list(range(n)):
+    if n < 1 or len(cycle) != n or sorted(cycle) != list(range(n)):
         raise InvalidCycle(
-            "expected a permutation of %d internal slots, got %r" % (n, cycle)
+            "expected a permutation of %d internal slots, at least 1, got %r" % (n, cycle)
         )
     # single-cycle check: the orbit of 0 must have length n
     seen = 0

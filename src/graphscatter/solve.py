@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, nan, pi, sqrt
+from math import isfinite, isnan, nan, pi, sqrt
 
 import numpy as np
 
@@ -120,11 +120,11 @@ def _chunks(n: int, count: int) -> list[slice]:
 
 def _refuse_phase_overflow(idx: ModeIndex, momenta: np.ndarray) -> None:
     """ValidationError when some momentum's product with the longest edge
-    length overflows, so that its phase factor exp(-i p d) is undefined."""
+    length is not finite, so that its phase factor exp(-i p d) is undefined."""
     longest = max(idx.slot_length, default=0.0)
     reach = np.maximum(np.abs(momenta.real), np.abs(momenta.imag))
-    if float(reach.max(initial=0.0)) * longest == inf:
-        raise ValidationError("momentum p=%r times the longest edge length %r overflows"
+    if not isfinite(float(reach.max(initial=0.0)) * longest):
+        raise ValidationError("momentum p=%r times the longest edge length %r is not finite"
                               % (momenta[reach.argmax()].item(), longest))
 
 
@@ -163,7 +163,7 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     conditioning bound, the near-pole mask and the (sigma_min,
     sigma_max) of M where they were taken, NaN elsewhere. Rows of
     flagged points hold meaningless values. A momentum whose product
-    with the longest edge overflows is refused with a ValidationError.
+    with the longest edge is not finite is refused with a ValidationError.
 
     One stacked solve gives M^-1 E(0) [s21 | Omega], Omega the fixed
     _probe_block, so the output is deterministic. kappa_2 <= |M|_F
@@ -272,6 +272,7 @@ def path_sum_oracle(
     SeriesDiverges when the spectral radius of E(-p) s22 reaches 1.
     Intended as a slow independent check of total_scattering.
     """
+    _refuse_phase_overflow(idx, np.asarray([p]))
     blocks = assemble_blocks(g, locals_, idx, p)
     if g.n_internal == 0:
         return blocks.ext_ext.copy()

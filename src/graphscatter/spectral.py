@@ -30,13 +30,15 @@ on these counts gives windows of a few eigenmomenta each. In each
 window Beyn's contour integral (W.-J. Beyn, Linear Algebra Appl. 436,
 3839, 2012) over trapezoid nodes, which converge exponentially
 (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), places the
-eigenmomenta, and two refinement steps polish them. Both solve with
+eigenmomenta, and one refinement step polishes them. Both solve with
 the sweeps' matrix M(p) = E(0) (E(p) - s22) = D(p) - B,
 D(p) = diag(exp(-i p d_s)) and B = E(0) s22, which is D(p) A(p) with
 A(p) = I - U(p), so it has the zeros and null vectors of A(p). The
 residual of the refined null vectors puts each root within a proven
 reach of its momentum, and disjoint reaches inside the window that add
-up to its count certify that none is missing.
+up to its count certify that none is missing. The residual, less its
+rounding slack, must prove each momentum to within ROOT_DEDUP_TOL
+max(1, |p|), so no reported momentum rests on a fixed step count.
 """
 
 from __future__ import annotations
@@ -497,8 +499,8 @@ def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray
 
 
 def _refine(system, p: np.ndarray, x: np.ndarray):
-    """Two inverse-iteration and Rayleigh-functional steps on every
-    estimate at once, chunk by chunk.
+    """One inverse-iteration and Rayleigh-functional step on every
+    estimate at once, chunk by chunk; _certified judges the result.
 
     A'(p) = -i diag(L) U(p) is -i diag(L) on the null vectors of A(p),
     so a step solves A(p) y = diag(L) x, the constant -i dropped and L
@@ -508,24 +510,23 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
     normalises y, and moves p by the Newton step of y^H A(p) y, with
     A(p) y read as D(-p) M(p) y: U(p) is unitary at real p, so the left
     null vector of A(p) is the right one, and the derivative there is
-    -i y^H diag(L) y. Returns the momenta and the unit vectors y of the
-    last step. An exactly singular M(p) leaves p and x as they are.
+    -i y^H diag(L) y. Returns the moved momenta and the unit vectors y.
+    An exactly singular M(p) leaves p and x as they are.
     """
     lengths = np.asarray(system[0].slot_length)
     scaled = np.ldexp(lengths, -np.frexp(lengths.max())[1])
     p, x = p.copy(), x.copy()
     for part in _chunks(len(lengths), len(p)):
-        for _ in range(2):
-            m = _resolvent_stack(*system, p[part])
-            phase = np.exp(-1j * p[part, None] * lengths)
-            y, singular = _solve(m, (phase * scaled * x[part])[..., None])
-            y = np.where(singular[:, None], x[part], y[..., 0])
-            y /= np.linalg.norm(y, axis=1, keepdims=True)
-            ay = (m @ y[..., None])[..., 0] / phase
-            shift = np.sum(y.conj() * ay, axis=1).imag / (np.abs(y) ** 2 @ lengths)
-            shift[singular] = 0.0
-            p[part] += shift
-            x[part] = y
+        m = _resolvent_stack(*system, p[part])
+        phase = np.exp(-1j * p[part, None] * lengths)
+        y, singular = _solve(m, (phase * scaled * x[part])[..., None])
+        y = np.where(singular[:, None], x[part], y[..., 0])
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        ay = (m @ y[..., None])[..., 0] / phase
+        shift = np.sum(y.conj() * ay, axis=1).imag / (np.abs(y) ** 2 @ lengths)
+        shift[singular] = 0.0
+        p[part] += shift
+        x[part] = y
     return p, x
 
 
@@ -536,17 +537,21 @@ def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: 
 
     Momenta within ROOT_DEDUP_TOL of each other form one group of k
     members with centre c and Q, an orthonormal basis of their vectors
-    (QR; the unit vector itself when k = 1). At real c, D(c) is unitary
+    (QR). At real c, D(c) is unitary
     and A(c) = I - U(c) is normal with the singular values
     2 |sin(theta / 2)| over the eigenphases theta, so
     r = ||M(c) Q||_2 = ||A(c) Q||_2, with M(c) Q taken as D(c) Q - B Q,
     bounds k of them by 2 asin(r / 2) (Courant-Fischer). Every
     eigenphase rises at a rate of at least min(L) (Berkolaiko &
     Kuchment, Introduction to Quantum Graphs, 2013), so k eigenmomenta
-    lie within reach = 2 asin((r + 4 n eps) / 2) / min(L) of c, the
-    slack covering rounding. When these intervals lie
+    lie within reach = 2 asin((r + slack) / 2) / min(L) of c, the slack
+    4 eps (n + |c| max(L)) covering the rounding of B Q and of the
+    phases c L. When these intervals lie
     inside (a, b] and are pairwise disjoint, each holds exactly its
-    group's multiplicity, and no eigenmomentum is missed.
+    group's multiplicity, and no eigenmomentum is missed. The residual
+    less the slack must prove c to within ROOT_DEDUP_TOL max(1, |c|),
+    the resolution at which roots are merged; the slack's own reach is
+    left out, as no refinement shrinks it.
     """
     lengths = np.asarray(system[0].slot_length)
     inside = (p > a) & (p <= b)
@@ -558,12 +563,16 @@ def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: 
     centres = np.array([np.mean(p[members]) for members in groups])
     residual = np.empty(len(groups))
     for k, (c, members) in enumerate(zip(centres, groups)):
-        q = x[members].T if len(members) == 1 else np.linalg.qr(x[members].T)[0]
+        q = np.linalg.qr(x[members].T)[0]
         residual[k] = np.linalg.norm(np.exp(-1j * c * lengths)[:, None] * q - system[1] @ q, 2)
-    slack = 4.0 * len(lengths) * np.finfo(float).eps
-    reach = 2.0 * np.arcsin(np.minimum(0.5 * (residual + slack), 1.0)) / np.min(lengths)
+    slack = 4.0 * np.finfo(float).eps * (len(lengths) + np.abs(centres) * np.max(lengths))
+    span = 2.0 / np.min(lengths)
+    reach = span * np.arcsin(np.minimum(0.5 * (residual + slack), 1.0))
+    # the part of the reach that refinement can shrink; rounding leaves the rest
+    refined = span * np.arcsin(np.minimum(0.5 * (residual - slack), 1.0))
     if not (centres[0] - reach[0] > a and centres[-1] + reach[-1] <= b
-            and np.all(centres[1:] - reach[1:] > centres[:-1] + reach[:-1])):
+            and np.all(centres[1:] - reach[1:] > centres[:-1] + reach[:-1])
+            and np.all(refined <= ROOT_DEDUP_TOL * np.maximum(1.0, np.abs(centres)))):
         return None
     return [(float(c), len(members)) for c, members in zip(centres, groups)]
 
@@ -581,11 +590,12 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
     + sum phi(a)) / 2 pi for any a < b, from two phase samples. The
     range starts as one window. Beyn's contour integral around a window
-    (_contour_estimates) and two refinement steps (_refine) place its
+    (_contour_estimates) and one refinement step (_refine) place its
     eigenmomenta, and it is kept only when the residuals of their null
-    vectors prove them all, with their multiplicities (_certified); phase
-    samples only cut windows. A window is split in two while it holds more
-    than n / 2 eigenmomenta (n slots) and is wider than
+    vectors prove them all, with their multiplicities, each to within
+    ROOT_DEDUP_TOL max(1, |p|) beyond rounding (_certified); phase
+    samples only cut windows. A window is split in two while it holds
+    more than n / 2 eigenmomenta (n slots) and is wider than
     pi / (2 max(lengths)), and when its certification fails; both are
     cut by one rule, at the first sample from its centre in steps of a
     sixteenth of its width where no phase is near 0 (_cut). A cut with no

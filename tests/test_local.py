@@ -43,6 +43,13 @@ def test_constant_local_rejects_non_square():
         constant_local(0, [[1.0, 0.0]])
 
 
+def test_empty_vertex_matrices_refused():
+    with pytest.raises(SizeMismatch):
+        constant_local(0, np.zeros((0, 0)))
+    with pytest.raises(SizeMismatch):
+        momentum_local(0, 0, lambda p: np.zeros((0, 0)))
+
+
 def test_non_unitary_involution_flagged():
     loc = constant_local(0, [[1.0, 1.0], [0.0, -1.0]])
     assert not loc.unitary
@@ -163,6 +170,9 @@ def test_rotation_invariance_of_momentum_dependent_matrices():
 
 
 def test_rotation_invariance_rejects_non_cycles():
+    # a one-slot vertex has no internal slot to rotate
+    with pytest.raises(InvalidCycle):
+        check_rotation_invariance(constant_local(0, [[1.0]]), [])
     with pytest.raises(InvalidCycle):
         check_rotation_invariance(kirchhoff_local(0, 4), [0, 1])
     with pytest.raises(InvalidCycle):

@@ -6,6 +6,7 @@ from graphscatter import (
     NearPole,
     SeriesDiverges,
     SizeMismatch,
+    ValidationError,
     build_graph,
     canonical,
     constant_local,
@@ -178,6 +179,30 @@ def test_path_sum_diverges_below_real_axis():
     idx = mode_index(fix.graph)
     with pytest.raises(SeriesDiverges):
         path_sum_oracle(fix.graph, fix.locals, idx, 1.3 - 0.5j)
+
+
+def test_non_finite_momenta_refused():
+    # p = nan or an infinite p times an edge length leaves the phase
+    # factors undefined; a graph without internal edges is refused too
+    fix = canonical("line2", d=1.3)
+    idx = mode_index(fix.graph)
+    bare = build_graph(GraphSpec(1, (), (0, 0)))
+    bare_case = (bare, [kirchhoff_local(0, 2)], mode_index(bare))
+    for p in (np.nan, complex(0.5, np.nan), np.inf, -np.inf):
+        calls = [
+            lambda: total_scattering(fix.graph, fix.locals, idx, p),
+            lambda: scattering_grid(fix.graph, fix.locals, idx, [0.5, p]),
+            lambda: internal_modes(fix.graph, fix.locals, idx, p, [1.0, 0.0]),
+            lambda: solve.grid_defects(fix.graph, fix.locals, idx, [p]),
+            lambda: verify_involution(fix.graph, fix.locals, idx, p),
+            lambda: verify_unitarity(fix.graph, fix.locals, idx, p),
+            lambda: path_sum_oracle(fix.graph, fix.locals, idx, p),
+            lambda: total_scattering(*bare_case, p),
+            lambda: path_sum_oracle(*bare_case, p),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="^momentum p="):
+                call()
 
 
 def test_near_pole_raises():

@@ -360,6 +360,11 @@ def test_certified_proves_each_group_by_its_residual():
     # residual cannot rule out
     twice = np.array([c, c + 1.5e-8])
     assert spectral._certified(system, twice, x[[0, 0]], 1.5, 2.5, 2) is None
+    # refused when the momenta sit 1e-6 or 1e-2 off the root: the
+    # residual still proves three eigenmomenta in the window, but only
+    # within a reach wider than ROOT_DEDUP_TOL
+    for moved in (1e-6, 1e-2):
+        assert spectral._certified(system, p + moved, x, 1.5, 2.5, 3) is None
 
 
 def test_commuting_colour_matrices_properties():
@@ -551,6 +556,24 @@ def test_compact_spectrum_near_degenerate_triangle():
     want = [2 * np.pi * n / 3.01 for n in (1, 2, 3)]
     assert len(got) == 3
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_eigenmomenta_with_one_very_short_edge():
+    # rounding alone leaves a reach above 3e-7, 2 asin(slack / 2) /
+    # min(L), wider than ROOT_DEDUP_TOL, and near p = 100 the phase
+    # part eps |p| max(L) of the slack dominates; a path with Neumann
+    # ends has the simple roots k pi / total, a ring the double roots
+    # 2 k pi / total
+    for short, a, b in ((1e-8, 0.1, 10.0), (1e-8, 100.0, 130.0), (1e-9, 100.0, 130.0)):
+        total = 1.0 + short
+        path = build_graph(GraphSpec(3, ((0, 1, 1.0), (1, 2, short)), ()))
+        ring = build_graph(GraphSpec(2, ((0, 1, 1.0), (0, 1, short)), ()))
+        for g, step, k in ((path, np.pi / total, 1), (ring, 2 * np.pi / total, 2)):
+            locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
+            got = spectral.eigenmomenta(g, locs, mode_index(g), a, b)
+            want = step * np.arange(np.ceil(a / step), np.floor(b / step) + 1)
+            assert [m for _, m in got] == [k] * len(want)
+            assert max(abs(p - q) for (p, _), q in zip(got, want)) < 1e-14 * max(1.0, a)
 
 
 def test_polynomial_accepts_lengths_within_tolerance():
