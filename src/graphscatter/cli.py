@@ -13,6 +13,11 @@ and running out of memory).
 stot, verify and equiv solve their whole momentum grid in this process
 with ``scattering_grid``; ``--workers`` is accepted and ignored.
 
+A process loads only what its subcommand runs: ``spectral`` is
+imported by poles and spectrum, ``generators`` by generate, and
+``run``, the process entry, freezes the collector once main returns so
+that shutdown does not walk the objects made at import.
+
 Each subcommand describes its output once, as a JSON document plus CSV
 header and rows, and ``_emit`` is the single writer that renders the
 requested format to --out or stdout. Its JSON text is that of
@@ -32,6 +37,7 @@ that are not flagged near a pole exit 3 before anything is written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -50,14 +56,12 @@ if "numpy" not in sys.modules and not any(os.environ.get(name) for name in BLAS_
 import numpy as np  # noqa: E402  (after the thread count is set)
 
 from .errors import NumericalError, SpecFileError, ValidationError
-from .generators import CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic, triangle_and_star_pair
 from .graph import build_graph, mode_index
 from .local import kirchhoff_local
 from .solve import MAX_GRID_POINTS, _refuse_range, grid_defects, scattering_grid
 from .specfile import graph_to_spec, load_spec, locals_from_spec, spec_to_dict
-from .spectral import eigenmomenta, find_poles, secular_polynomial
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run"]
 
 VERIFY_DEFAULT_TOL = 1e-8
 EQUIV_DEFAULT_TOL = 1e-10
@@ -280,6 +284,8 @@ def cmd_stot(args) -> int:
 
 
 def cmd_poles(args) -> int:
+    from .spectral import find_poles, secular_polynomial
+
     spec, g, locs, idx = _load_system(args.graph)
     unit = args.unit if args.unit is not None else spec.lengths_unit
     if unit is None:
@@ -310,6 +316,8 @@ def cmd_poles(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral import eigenmomenta
+
     _, g, locs, idx = _load_system(args.graph)
     roots = eigenmomenta(g, locs, idx, args.p_min, args.p_max)
     doc = {"command": "spectrum", "p_min": args.p_min, "p_max": args.p_max,
@@ -372,6 +380,9 @@ def cmd_equiv(args) -> int:
 
 
 def _generated_fixture(name: str):
+    from .generators import (CANONICAL_FIXTURES, PLATONIC_SOLIDS, canonical, platonic,
+                             triangle_and_star_pair)
+
     if name in PLATONIC_SOLIDS:
         g, _ = platonic(name)
         locs = [kirchhoff_local(v, g.degree(v)) for v in range(g.vertex_count)]
@@ -437,5 +448,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of ``python -m graphscatter.cli`` and the
+    ``graphscatter`` console script: main() on sys.argv, then exit with
+    its code. Every object still alive is frozen out of the collector
+    first, so that interpreter shutdown does not walk the tens of
+    thousands that numpy and the package made at import. Atexit
+    handlers, stdio flushing and module teardown still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,17 +52,22 @@ def _as_number(value, what: str) -> float:
 
 
 def _parse_unit(value) -> float:
+    # a number converts straight to float: an int rounds as
+    # float(Fraction(n)) does, and one beyond the float range is refused
+    # below with the rest; fractions loads only for a 'p/q' string
     if isinstance(value, str):
+        from fractions import Fraction
+
         try:
             unit = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise SpecFileError("lengths_unit %r is not a rational like '3/4'" % value)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError("lengths_unit must be a number or 'p/q' string")
-    elif not math.isfinite(value):
+    elif isinstance(value, float) and not math.isfinite(value):
         raise SpecFileError("lengths_unit must be finite, got %r" % value)
     else:
-        unit = Fraction(value)
+        unit = value
     try:
         unit = float(unit)
     except OverflowError:

@@ -346,7 +346,7 @@ def test_stray_linalg_error_exits_3(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(cli, "find_poles", singular)
+    monkeypatch.setattr(spectral, "find_poles", singular)
     assert main(["poles", "--graph", graph]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -975,3 +975,59 @@ def test_poles_on_huge_vertex_entries(tmp_path, capsys):
     (pole,) = json.loads(capsys.readouterr().out)["poles"]
     assert pole["zeta"] == [1.0, 0.0]
     assert pole["multiplicity"] == 2 and pole["removable"] is True
+
+
+def test_process_entry_output_and_exit_codes(tmp_path, capsys):
+    graph = gen(tmp_path, "dodecahedron")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def launch(*argv):
+        return subprocess.run([sys.executable, "-m", "graphscatter.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    argv = ["stot", "--graph", graph, "--steps", "256"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    done = launch(*argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+    assert launch("stot", "--graph", str(tmp_path / "missing.json")).returncode == 1
+    assert launch(*argv[:3], "--steps", "0").returncode == 2
+    report = tmp_path / "verify.json"
+    done = launch("verify", "--graph", graph, "--tol", "1e-300", "--out", str(report))
+    assert done.returncode == 3
+    assert read_json(report)["pass"] is False
+
+
+def test_process_entry_freezes_the_collector_after_main(tmp_path):
+    # python -m graphscatter.cli, with an exit hook that reports what the
+    # collector holds at exit
+    graph = gen(tmp_path, "tadpole")
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,\n"
+        "                              file=sys.stderr))\n"
+        "runpy.run_module('graphscatter.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, "stot", "--graph", graph,
+                           "--steps", "3", "--out", str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr.split() == ["True", "True"]
+
+
+def test_lengths_unit_int_beyond_the_float_range_exits_1(tmp_path, capsys):
+    doc = read_json(gen(tmp_path, "fabry_perot"))
+    doc["lengths_unit"] = 10 ** 400
+    graph = tmp_path / "unit.json"
+    graph.write_text(json.dumps(doc))
+    for command in ("stot", "poles"):
+        assert main([command, "--graph", str(graph)]) == 1, command
+        err = capsys.readouterr().err
+        assert err == "error: lengths_unit must be a positive finite float, got 1%s\n" % ("0" * 400)

@@ -162,3 +162,42 @@ for name in ("dodecahedron", "fabry_perot", "tadpole"):
 print(" ".join(sorted({"numpy.ma", "numpy.polynomial"} & (set(sys.modules) - before))))
 """, str(tmp_path))
     assert out.split() == []
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    from graphscatter.cli import main
+
+    for name in ("dodecahedron", "tadpole", "interval_compact"):
+        assert main(["generate", name, "--out", str(tmp_path / (name + ".json"))]) == 0
+    out = fresh("""
+import gc, os, sys
+from graphscatter.cli import main
+watched = ("graphscatter.spectral", "graphscatter.generators", "fractions")
+graph = lambda name: os.path.join(sys.argv[1], name + ".json")
+out = os.path.join(sys.argv[1], "out")
+runs = (
+    ["stot", "--graph", graph("dodecahedron"), "--steps", "4"],
+    ["stot", "--graph", graph("tadpole"), "--steps", "4", "--format", "csv"],
+    ["verify", "--graph", graph("dodecahedron"), "--steps", "4"],
+    ["equiv", "--graph", graph("tadpole"), "--graph-b", graph("tadpole"), "--steps", "4"],
+    None,
+    ["poles", "--graph", graph("tadpole"), "--include-removable"],
+    ["spectrum", "--graph", graph("interval_compact"), "--p-min", "0.5", "--p-max", "7"],
+    None,
+    ["generate", "cube"],
+)
+for argv in runs:
+    if argv is None:
+        print(" ".join(m for m in watched if m in sys.modules) or "-")
+    else:
+        assert main(argv + ["--out", out]) == 0, argv
+print(" ".join(m for m in watched if m in sys.modules) or "-")
+# main itself leaves the collector alone
+print(gc.isenabled(), gc.get_freeze_count())
+""", str(tmp_path))
+    assert out.splitlines() == [
+        "-",  # stot, verify, equiv
+        "graphscatter.spectral",  # poles, spectrum
+        "graphscatter.spectral graphscatter.generators",  # generate
+        "True 0",
+    ]

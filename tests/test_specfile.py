@@ -285,3 +285,18 @@ def test_complex_entries_round_trip(tmp_path):
     g = build_graph(again)
     locs = locals_from_spec(again, g)
     assert locs[0].constant[0, 1] == z
+
+
+def test_numeric_lengths_unit_is_that_float():
+    doc = sample_doc()
+    for unit in (0.1, 0.01, 5e-324, 1.7e308):
+        doc["lengths_unit"] = unit
+        assert parse_spec(doc).lengths_unit.hex() == unit.hex()
+    doc["lengths_unit"] = "3/4"
+    assert parse_spec(doc).lengths_unit == 0.75
+    doc["lengths_unit"] = "1/0"
+    with pytest.raises(SpecFileError, match="is not a rational like"):
+        parse_spec(doc)
+    doc["lengths_unit"] = "0/1"
+    with pytest.raises(SpecFileError, match="positive finite float, got 0/1"):
+        parse_spec(doc)
