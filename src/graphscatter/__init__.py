@@ -16,7 +16,6 @@ _EXPORTS = {
         "DegreeMismatch",
         "DisconnectedGraph",
         "EmptyInterval",
-        "FitResidualTooLarge",
         "GraphScatterError",
         "IncommensurableLengths",
         "InvalidCycle",

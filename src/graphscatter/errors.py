@@ -105,7 +105,3 @@ class NearPole(NumericalError):
 
 class SeriesDiverges(NumericalError):
     pass
-
-
-class FitResidualTooLarge(NumericalError):
-    pass

@@ -199,9 +199,18 @@ def build_graph(spec: GraphSpec) -> Graph:
     return Graph(n, tuple(internal), tuple(external))
 
 
+def _refuse_unconnectable(n: int, n_edges: int) -> None:
+    """Connecting n vertices takes at least n - 1 edges; refuses a larger
+    n before anything is allocated per vertex."""
+    if n > n_edges + 1:
+        raise DisconnectedGraph("%d vertices cannot be connected by %d internal edges"
+                                % (n, n_edges))
+
+
 def _check_connected(n: int, internal: list[InternalEdge]) -> None:
     if n == 1:
         return
+    _refuse_unconnectable(n, len(internal))
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for e in internal:
         adjacency[e.u].append(e.v)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import MissingVertexMatrix, SpecFileError, ValidationError
-from .graph import Graph, GraphSpec, LocalSpec
+from .graph import Graph, GraphSpec, LocalSpec, _refuse_unconnectable
 from .local import FAMILIES, LocalScattering, constant_local
 
 __all__ = [
@@ -45,10 +45,26 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number as a float; refuses one that is not finite as a
+    float, an int beyond the float range or a float literal like 1e400."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecFileError("%s must be finite as a float, got %s" % (what, value))
+    return number
+
+
 def _as_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise SpecFileError("%s must be a number, got %r" % (what, value))
-    return float(value)
+    return _finite(value, what)
 
 
 def _parse_unit(value) -> float:
@@ -62,7 +78,7 @@ def _parse_unit(value) -> float:
             unit = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise SpecFileError("lengths_unit %r is not a rational like '3/4'" % value)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif not _is_number(value):
         raise SpecFileError("lengths_unit must be a number or 'p/q' string")
     elif isinstance(value, float) and not math.isfinite(value):
         raise SpecFileError("lengths_unit must be finite, got %r" % value)
@@ -88,14 +104,11 @@ def _parse_matrix(m) -> tuple:
             raise SpecFileError("matrix must be square")
         parsed = []
         for entry in row:
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                parsed.append(complex(entry))
-            elif (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
-                parsed.append(complex(entry[0], entry[1]))
+            if _is_number(entry):
+                parsed.append(complex(_finite(entry, "matrix entry")))
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+                real, imag = (_finite(x, "matrix entry") for x in entry)
+                parsed.append(complex(real, imag))
             else:
                 raise SpecFileError("matrix entries must be numbers or [re, im] pairs")
         rows.append(tuple(parsed))
@@ -145,6 +158,7 @@ def parse_spec(data) -> GraphSpec:
         raw_locals = data["vertex_locals"]
         if not isinstance(raw_locals, list):
             raise SpecFileError("vertex_locals must be a list")
+        _refuse_unconnectable(n, len(edges))
         entries: list = [None] * n
         for k, rec in enumerate(raw_locals):
             _require_record(rec, _LOCAL_FIELDS, "vertex_locals[%d]" % k)
@@ -188,6 +202,10 @@ def load_spec(path) -> GraphSpec:
         raise SpecFileError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise SpecFileError("%s is not valid JSON: %s" % (path, exc))
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, an int literal beyond Python's digit limit, or
+        # arrays and objects nested beyond the recursion limit
+        raise SpecFileError("cannot parse %s: %s" % (path, exc))
     return parse_spec(data)
 
 

@@ -1,5 +1,5 @@
-"""Secular determinant, its polynomial form, pole extraction and
-compact-graph spectra.
+"""Secular determinant, the unit bond matrix whose eigenvalues are its
+roots in zeta, pole extraction and compact-graph spectra.
 
 For commensurable edge lengths (all integer multiples of a declared
 unit) with constant vertex matrices the secular determinant
@@ -10,15 +10,15 @@ length m * unit owns m bonds, each bond hands its amplitude on to the
 next one, and the last bond of slot s applies row partner(s) of s22.
 Then det(E(zeta) - s22) = det(E(0)) det(zeta I - U). secular_polynomial
 builds U once and keeps it, with its one eigendecomposition
-U = V diag(lambda) V^-1, beside the lead couplings. That
-eigendecomposition gives the polynomial on first use, and find_poles
-reads the poles with their multiplicities from it: the rows of V^-1
-are the left eigenvectors (Golub & Van Loan, Matrix Computations,
-sec. 7.2), so the error bound of every eigenvalue and the lead
-couplings s12 V and V^-1 E(0) s21, whose products are the residues
-that tell genuine poles from removable determinant zeros, cost one
-inverse. Only where V^-1 V is far from I, on Jordan blocks and
-nilpotent bond chains, is U^T decomposed as well.
+U = V diag(lambda) V^-1, beside the lead couplings; no coefficient of
+the polynomial is formed. find_poles reads the poles with their
+multiplicities from that eigendecomposition: the rows of V^-1 are the
+left eigenvectors (Golub & Van Loan, Matrix Computations, sec. 7.2),
+so the error bound of every eigenvalue and the lead couplings s12 V
+and V^-1 E(0) s21, whose products are the residues that tell genuine
+poles from removable determinant zeros, cost one inverse. Only where
+V^-1 V is far from I, on Jordan blocks and nilpotent bond chains, is
+U^T decomposed as well.
 
 Compact spectra need no commensurability: for constant unitary vertex
 matrices U(p) = E(-p) s22 is unitary, its eigenphases rise with p, and
@@ -46,14 +46,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .assemble import _bond_blocks, assemble_blocks, assemble_propagation, resolve_locals
 from .errors import (
     DegenerateConstantPolynomial,
-    FitResidualTooLarge,
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
@@ -76,9 +74,9 @@ __all__ = [
     "symmetry_factor_check",
 ]
 
-# the secular polynomial must reproduce held-out determinant samples, and
-# the symmetry-reduced product its coefficients, within this fraction of
-# its largest coefficient
+# the symmetry-reduced product must reproduce the characteristic
+# polynomial of the bond matrix within this fraction of its largest
+# coefficient
 COEFFICIENT_RTOL = 1e-9
 # roots closer than this are one root
 ROOT_DEDUP_TOL = 1e-8
@@ -127,48 +125,20 @@ class BondSystem:
 
 @dataclass(frozen=True)
 class SecularPolynomial:
-    """det(E - s22) as a polynomial in zeta = exp(-i p unit_length).
+    """det(E - s22) as a polynomial in zeta = exp(-i p unit_length),
+    held as the unit bond matrix whose characteristic polynomial it is.
 
-    coefficients[k] multiplies zeta**k; degree_bound is the sum of
-    length/unit over all directed internal slots, which is also the
-    size of the unit bond matrix whose characteristic polynomial this
-    is. bond holds that matrix with the lead couplings for find_poles;
-    it is None when there are no internal edges. find_poles reads no
-    coefficient, and they are computed on first use.
+    degree_bound is the sum of length/unit over all directed internal
+    slots, the size of that matrix. bond holds the matrix with the lead
+    couplings for find_poles; it is None when there are no internal
+    edges. Its expansion in powers of zeta, highest first, is
+    (-1)**n_internal * np.poly(bond.u), and secular_determinant gives
+    the determinant at any momentum.
     """
 
     unit_length: float
     degree_bound: int
-    slot_powers: tuple[int, ...]
     bond: BondSystem | None
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """det(E(0)) times the inverse DFT of prod_k (nu - lambda_k) over
-        the D + 1 roots of unity nu, for the eigenvalues lambda_k of U and
-        D = degree_bound, checked at 8 held-out momenta against the LU
-        determinant det(E(0)) det(D(p) - B), B read back from U."""
-        coeffs, bond = np.ones(1, dtype=complex), self.bond
-        if bond is not None:
-            n_nodes = self.degree_bound + 1
-            nodes = np.exp(-2j * np.pi * np.arange(n_nodes) / n_nodes)
-            # E(0) pairs the slots of every edge, one transposition per edge
-            sign = (-1) ** (len(self.slot_powers) // 2)
-            coeffs = sign * np.fft.ifft(np.prod(nodes[:, None] - bond.eigenvalues, axis=1))
-            p = 2.0 * np.pi * (np.arange(8) + 0.5) / (n_nodes * self.unit_length)
-            b = bond.u[np.ix_(bond.last, bond.first)]
-            # lengths within the commensurability tolerance are taken as exact
-            d = np.exp(-1j * p[:, None] * (self.unit_length * np.asarray(self.slot_powers)))
-            direct = sign * np.array([np.linalg.det(np.diag(dj) - b) for dj in d])
-            residual = np.max(np.abs(np.polyval(coeffs[::-1], np.exp(-1j * p * self.unit_length))
-                                     - direct))
-            if not residual <= COEFFICIENT_RTOL * np.max(np.abs(coeffs)):  # also catches NaN
-                raise FitResidualTooLarge("polynomial residual %.3e at held-out point" % residual)
-        coeffs.flags.writeable = False
-        return coeffs
-
-    def __call__(self, zeta: complex) -> complex:
-        return complex(np.polyval(self.coefficients[::-1], zeta))
 
 
 @dataclass(frozen=True)
@@ -257,8 +227,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
     """Polynomial form of the secular determinant.
 
     Requires constant vertex matrices and all edge lengths integer
-    multiples of the unit. Builds only the BondSystem; the coefficients
-    and their held-out check follow from it on first use.
+    multiples of the unit. Builds the BondSystem and nothing else.
     """
     resolved, (_, s12, e0_s21, e0_s22) = _constant_blocks(g, locals_, idx, NonConstantLocals,
                                                           "polynomial form")
@@ -281,7 +250,7 @@ def secular_polynomial(g: Graph, locals_, idx: ModeIndex, unit: float) -> Secula
             for loc, ext in zip(resolved, idx.vertex_external)))
         bond = BondSystem(u, eigs, right, float(u_norm), first, last, s12, e0_s21,
                           float(vertex_norm))
-    return SecularPolynomial(unit, degree, powers, bond)
+    return SecularPolynomial(unit, degree, bond)
 
 
 def _left_rows(right: np.ndarray):
@@ -704,7 +673,8 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
     vertex-pairing matrices. Refuses with ReductionNotApplicable when the
     reduction does not apply.
     """
-    resolved, _ = _constant_blocks(g, locals_, idx, ReductionNotApplicable, "reduction")
+    resolved, (_, _, _, bond) = _constant_blocks(g, locals_, idx, ReductionNotApplicable,
+                                                 "reduction")
     base = resolved[0].constant
     for loc in resolved[1:]:
         if loc.size != resolved[0].size or np.max(np.abs(loc.constant - base)) > 0:
@@ -715,7 +685,6 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
     lengths = {e.length for e in g.internal_edges}
     if len(lengths) != 1:
         raise ReductionNotApplicable("reduction requires equal edge lengths")
-    unit = lengths.pop()
 
     n_ext = {g.external_degree(v) for v in range(g.vertex_count)}
     n_int = {g.internal_degree(v) for v in range(g.vertex_count)}
@@ -768,6 +737,9 @@ def symmetry_factor_check(g: Graph, locals_, idx: ModeIndex, colour_matrices) ->
         for _ in range(count):
             left = np.polymul(left, factor)
 
-    right = secular_polynomial(g, resolved, idx, unit).coefficients[::-1]
+    # with the one edge length as unit every slot is one bond, so the bond
+    # matrix is B = E(0) s22; det E(0) = (-1)**n_internal, as E(0) swaps
+    # the two slots of every edge
+    right = (-1) ** g.n_internal * np.poly(bond)
     tol = COEFFICIENT_RTOL * float(np.max(np.abs(right)))
     return bool(np.max(np.abs(np.polysub(left, right))) <= tol)

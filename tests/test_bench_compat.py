@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from graphscatter import BlockSystem, LocalScattering, canonical, mode_index
+from graphscatter import BlockSystem, LocalScattering, canonical, cli, mode_index
 from graphscatter.assemble import assemble_blocks, assemble_propagation
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -45,3 +45,14 @@ def test_oracle_blocks_exist(monkeypatch):
     assert [b.shape for b in (blocks.ext_ext, blocks.ext_int, blocks.int_ext, blocks.int_int)] \
         == [(n_e, n_e), (n_e, n), (n, n_e), (n, n)]
     assert np.asarray(assemble_propagation(fix.graph, idx, 0.5).matrix).shape == (n, n)
+
+
+def test_workload_flags_parse(monkeypatch, tmp_path):
+    # a flag the benchmark passes, such as --workers, must stay accepted
+    inputs = _load(monkeypatch, "inputs")
+    parser = cli.build_parser()
+    for name in inputs.WORKLOADS:
+        workload = inputs.build_workload(name, 0, str(tmp_path / name), scale=0.2)
+        assert workload.jobs
+        for job in workload.jobs:
+            assert parser.parse_args(job.argv).command == job.argv[0], job.name

@@ -750,6 +750,52 @@ def test_non_finite_numbers_in_graph_files_exit_1(tmp_path, capsys, where, value
         assert one_error_line(capsys), argv
 
 
+BIG = b"1" + b"0" * 400
+
+
+@pytest.mark.parametrize("old, new, keep_locals, code", [
+    (b'"length": 1.0', b'"length": 1' + b"0" * 5000, True, 1),
+    (b'"kirchhoff"', b'"kirch\xffhoff"', True, 1),
+    (b'"lengths_unit": 1.0', b'"lengths_unit": ' + b"[" * 100000 + b"]" * 100000, True, 1),
+    (b'"length": 1.0', b'"length": ' + BIG, True, 1),
+    (b'"length": 1.0', b'"length": 1e400', True, 1),
+    (b"[[0.0, 1.0]", b"[[0.0, " + BIG + b"]", True, 1),
+    (b"[[0.0, 1.0]", b"[[0.0, [1.0, " + BIG + b"]]", True, 1),
+    (b'"vertices": 2', b'"vertices": ' + BIG, True, 2),
+    (b'"vertices": 2', b'"vertices": ' + BIG, False, 2),
+], ids=["int-digits", "invalid-utf-8", "nesting", "length-int-overflow", "length-float-overflow",
+        "matrix-overflow", "matrix-pair-overflow", "vertices-with-locals",
+        "vertices-without-locals"])
+def test_graph_files_beyond_the_parser_end_in_one_error_line(tmp_path, old, new, keep_locals,
+                                                              code):
+    doc = {"vertices": 2, "internal_edges": [{"u": 1, "v": 2, "length": 1.0}],
+           "external_edges": [{"vertex": 1}], "lengths_unit": 1.0,
+           "vertex_locals": [{"vertex": 1, "family": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+                             {"vertex": 2, "family": "kirchhoff"}]}
+    if not keep_locals:
+        del doc["vertex_locals"]
+    text = json.dumps(doc).encode()
+    assert old in text
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(text.replace(old, new))
+    # in a process of its own, capped at 1 GiB of address space: a
+    # vertex count that reached a per-vertex allocation would otherwise
+    # take all memory before it failed
+    script = ("import resource, runpy, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "sys.argv[0] = 'graphscatter'; "
+              "runpy.run_module('graphscatter.cli', run_name='__main__')")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, "stot", "--graph", str(graph)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert done.stdout == ""
+
+
 # top-level JSON keys and CSV columns of each subcommand, as the README
 # documents them; stot has re/im/abs2 columns per entry of its k x k matrix
 DOCUMENTED_KEYS = {

@@ -53,8 +53,11 @@ def test_single_vertex_no_edges():
 
 
 def test_build_graph_rejects_disconnected():
-    with pytest.raises(DisconnectedGraph):
+    # too few edges to connect the vertices: refused before the search
+    with pytest.raises(DisconnectedGraph, match="4 vertices cannot be connected by 2 internal"):
         build_graph(GraphSpec(4, ((0, 1, 1.0), (2, 3, 1.0)), (0,)))
+    with pytest.raises(DisconnectedGraph, match=r"vertices \[2, 3\] are not reachable"):
+        build_graph(GraphSpec(4, ((0, 1, 1.0), (2, 3, 1.0), (2, 3, 2.0)), (0,)))
 
 
 def test_build_graph_rejects_bad_lengths():

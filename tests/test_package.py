@@ -12,10 +12,12 @@ import graphscatter
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = os.path.dirname(os.path.dirname(graphscatter.__file__))
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exported when it imported its submodules eagerly,
+# less FitResidualTooLarge, which went with the coefficient form of the
+# secular polynomial
 EXPORTED = {
     "errors": ["DanglingVertexReference", "DegenerateConstantPolynomial", "DegreeMismatch",
-               "DisconnectedGraph", "EmptyInterval", "FitResidualTooLarge", "GraphScatterError",
+               "DisconnectedGraph", "EmptyInterval", "GraphScatterError",
                "IncommensurableLengths", "InvalidCycle", "MissingVertexMatrix", "NearPole",
                "NonConstantLocals", "NonPositiveLength", "NotCompact", "NotInvolutive",
                "NumericalError", "ReductionNotApplicable", "SeriesDiverges", "SizeMismatch",
