@@ -49,13 +49,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value) -> float:
+    """A number as a float, inf for an int or rational beyond the float
+    range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite(value, what: str) -> float:
     """A JSON number as a float; refuses one that is not finite as a
     float, an int beyond the float range or a float literal like 1e400."""
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+    number = _float(value)
     if not math.isfinite(number):
         raise SpecFileError("%s must be finite as a float, got %s" % (what, value))
     return number
@@ -80,15 +86,11 @@ def _parse_unit(value) -> float:
             raise SpecFileError("lengths_unit %r is not a rational like '3/4'" % value)
     elif not _is_number(value):
         raise SpecFileError("lengths_unit must be a number or 'p/q' string")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise SpecFileError("lengths_unit must be finite, got %r" % value)
     else:
         unit = value
-    try:
-        unit = float(unit)
-    except OverflowError:
-        unit = math.inf
-    # also refuses rationals that round to 0.0 or beyond the float range
+    unit = _float(unit)
+    # refuses nan, inf and rationals that round to 0.0 or beyond the
+    # float range
     if not 0.0 < unit < math.inf:
         raise SpecFileError("lengths_unit must be a positive finite float, got %s" % value)
     return unit

@@ -725,6 +725,14 @@ def test_spectrum_negative_root_count_exits_3(tmp_path, capsys):
         assert len(err.splitlines()) == 1, (edges, argv)
 
 
+def two_vertex_doc():
+    return {"vertices": 2, "internal_edges": [{"u": 1, "v": 2, "length": 1.0}],
+            "external_edges": [{"vertex": 1}], "lengths_unit": 1.0,
+            "vertex_locals": [{"vertex": 1, "family": "matrix",
+                               "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+                              {"vertex": 2, "family": "kirchhoff"}]}
+
+
 @pytest.mark.parametrize("where, value", [
     (("internal_edges", 0, "length"), math.inf),
     (("internal_edges", 0, "length"), math.nan),
@@ -732,10 +740,7 @@ def test_spectrum_negative_root_count_exits_3(tmp_path, capsys):
     (("lengths_unit",), math.inf),
 ], ids=["length-inf", "length-nan", "matrix-nan", "unit-inf"])
 def test_non_finite_numbers_in_graph_files_exit_1(tmp_path, capsys, where, value):
-    doc = {"vertices": 2, "internal_edges": [{"u": 1, "v": 2, "length": 1.0}],
-           "external_edges": [{"vertex": 1}], "lengths_unit": 1.0,
-           "vertex_locals": [{"vertex": 1, "family": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
-                             {"vertex": 2, "family": "kirchhoff"}]}
+    doc = two_vertex_doc()
     *parents, last = where
     target = doc
     for key in parents:
@@ -753,31 +758,38 @@ def test_non_finite_numbers_in_graph_files_exit_1(tmp_path, capsys, where, value
 BIG = b"1" + b"0" * 400
 
 
-@pytest.mark.parametrize("old, new, keep_locals, code", [
-    (b'"length": 1.0', b'"length": 1' + b"0" * 5000, True, 1),
-    (b'"kirchhoff"', b'"kirch\xffhoff"', True, 1),
-    (b'"lengths_unit": 1.0', b'"lengths_unit": ' + b"[" * 100000 + b"]" * 100000, True, 1),
-    (b'"length": 1.0', b'"length": ' + BIG, True, 1),
-    (b'"length": 1.0', b'"length": 1e400', True, 1),
-    (b"[[0.0, 1.0]", b"[[0.0, " + BIG + b"]", True, 1),
-    (b"[[0.0, 1.0]", b"[[0.0, [1.0, " + BIG + b"]]", True, 1),
-    (b'"vertices": 2', b'"vertices": ' + BIG, True, 2),
-    (b'"vertices": 2', b'"vertices": ' + BIG, False, 2),
-], ids=["int-digits", "invalid-utf-8", "nesting", "length-int-overflow", "length-float-overflow",
-        "matrix-overflow", "matrix-pair-overflow", "vertices-with-locals",
-        "vertices-without-locals"])
-def test_graph_files_beyond_the_parser_end_in_one_error_line(tmp_path, old, new, keep_locals,
-                                                              code):
-    doc = {"vertices": 2, "internal_edges": [{"u": 1, "v": 2, "length": 1.0}],
-           "external_edges": [{"vertex": 1}], "lengths_unit": 1.0,
-           "vertex_locals": [{"vertex": 1, "family": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
-                             {"vertex": 2, "family": "kirchhoff"}]}
+def graph_file_bytes(tmp_path, old, new, keep_locals=True):
+    """two_vertex_doc as file bytes with old replaced by new; returns the
+    file's path."""
+    doc = two_vertex_doc()
     if not keep_locals:
         del doc["vertex_locals"]
     text = json.dumps(doc).encode()
     assert old in text
     graph = tmp_path / "graph.json"
     graph.write_bytes(text.replace(old, new))
+    return str(graph)
+
+
+@pytest.mark.parametrize("old, new, code", [
+    (b'"length": 1.0', b'"length": 1' + b"0" * 5000, 1),
+    (b'"kirchhoff"', b'"kirch\xffhoff"', 1),
+    (b'"lengths_unit": 1.0', b'"lengths_unit": ' + b"[" * 100000 + b"]" * 100000, 1),
+    (b'"length": 1.0', b'"length": ' + BIG, 1),
+    (b'"length": 1.0', b'"length": 1e400', 1),
+    (b"[[0.0, 1.0]", b"[[0.0, " + BIG + b"]", 1),
+    (b"[[0.0, 1.0]", b"[[0.0, [1.0, " + BIG + b"]]", 1),
+    (b'"vertices": 2', b'"vertices": ' + BIG, 2),
+], ids=["int-digits", "invalid-utf-8", "nesting", "length-int-overflow", "length-float-overflow",
+        "matrix-overflow", "matrix-pair-overflow", "vertices-with-locals"])
+def test_graph_files_beyond_the_parser_end_in_one_error_line(tmp_path, capsys, old, new, code):
+    graph = graph_file_bytes(tmp_path, old, new)
+    assert main(["stot", "--graph", graph]) == code
+    assert one_error_line(capsys)
+
+
+def test_unconnectable_vertex_count_exits_2_before_allocating(tmp_path):
+    graph = graph_file_bytes(tmp_path, b'"vertices": 2', b'"vertices": ' + BIG, keep_locals=False)
     # in a process of its own, capped at 1 GiB of address space: a
     # vertex count that reached a per-vertex allocation would otherwise
     # take all memory before it failed
@@ -788,9 +800,9 @@ def test_graph_files_beyond_the_parser_end_in_one_error_line(tmp_path, old, new,
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script, "stot", "--graph", str(graph)],
+    done = subprocess.run([sys.executable, "-c", script, "stot", "--graph", graph],
                           env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == code, done.stderr
+    assert done.returncode == 2, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert done.stdout == ""

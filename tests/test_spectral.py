@@ -47,9 +47,14 @@ def test_secular_determinant_empty_graph_is_one():
 
 
 def assert_closed_form(g, locs, idx, coefficients):
-    """secular_determinant at real and complex momenta equals the
-    polynomial sum_k coefficients[k] zeta**k at zeta = exp(-i p) (unit
-    length 1)."""
+    """The polynomial sum_k coefficients[k] zeta**k (unit length 1) is
+    (-1)**N_i times the characteristic polynomial of the bond matrix, and
+    secular_determinant at real and complex momenta equals it at
+    zeta = exp(-i p)."""
+    u = secular_polynomial(g, locs, idx, 1.0).bond.u
+    from_bond = (-1) ** g.n_internal * np.poly(u)[::-1]
+    assert from_bond.shape == coefficients.shape
+    assert np.max(np.abs(from_bond - coefficients)) < 1e-12
     for p in (0.3, 1.7, 2.5 - 0.4j, 4.1 + 0.2j):
         want = np.polyval(coefficients[::-1], np.exp(-1j * p))
         assert abs(secular_determinant(g, locs, idx, p) - want) < 1e-12, p
@@ -88,8 +93,8 @@ def test_polynomial_matches_determinant_random():
         idx = mode_index(g)
         locs = random_locals(rng, g, idx)
         lam = secular_polynomial(g, locs, idx, 0.25).bond.eigenvalues
-        # bounds the sum of the coefficients' moduli
-        scale = float(np.prod(1.0 + np.abs(lam)))
+        # the largest coefficient of the polynomial
+        scale = max(float(np.max(np.abs(np.poly(lam)))), 1.0)
         for _ in range(5):
             p = float(rng.uniform(0.1, 9.0))
             zeta = np.exp(-1j * p * 0.25)
