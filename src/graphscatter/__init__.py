@@ -18,7 +18,6 @@ _EXPORTS = {
         "EmptyInterval",
         "GraphScatterError",
         "IncommensurableLengths",
-        "InvalidCycle",
         "MissingVertexMatrix",
         "NearPole",
         "NonConstantLocals",
@@ -42,13 +41,10 @@ _EXPORTS = {
         "LocalSpec",
         "ModeIndex",
         "build_graph",
-        "external_permutation",
-        "internal_permutation",
         "mode_index",
     ),
     "local": (
         "LocalScattering",
-        "check_rotation_invariance",
         "constant_local",
         "kirchhoff_local",
         "momentum_local",
@@ -88,7 +84,6 @@ _EXPORTS = {
         "commuting_colour_matrices",
         "platonic",
         "triangle_and_star_pair",
-        "triangle_star_permutation",
     ),
     "specfile": (
         "graph_to_spec",

@@ -24,6 +24,7 @@ __all__ = [
     "PropagationMatrix",
     "assemble_blocks",
     "assemble_propagation",
+    "resolve_locals",
 ]
 
 
@@ -39,13 +40,11 @@ class BlockSystem:
     ext_int: np.ndarray
     int_ext: np.ndarray
     int_int: np.ndarray
-    momentum: complex
 
 
 @dataclass(frozen=True)
 class PropagationMatrix:
     matrix: np.ndarray
-    momentum: complex
 
 
 def resolve_locals(g: Graph, locals_, idx: ModeIndex) -> list[LocalScattering]:
@@ -103,7 +102,7 @@ def assemble_blocks(g: Graph, locals_, idx: ModeIndex, p: complex) -> BlockSyste
     the four global blocks. Entries outside vertex-local positions are
     exactly zero."""
     combined = _scatter(g, resolve_locals(g, locals_, idx), idx, [p])[0]
-    return BlockSystem(*_blocks(combined, idx.n_external), momentum=p)
+    return BlockSystem(*_blocks(combined, idx.n_external))
 
 
 def _partner_rows(idx: ModeIndex, block: np.ndarray) -> np.ndarray:
@@ -131,4 +130,4 @@ def assemble_propagation(g: Graph, idx: ModeIndex, p: complex) -> PropagationMat
     n = idx.n_internal_slots
     mat = np.zeros((n, n), dtype=complex)
     mat[list(idx.partner), range(n)] = np.exp(-1j * p * np.asarray(idx.slot_length))
-    return PropagationMatrix(matrix=mat, momentum=p)
+    return PropagationMatrix(matrix=mat)

@@ -52,10 +52,6 @@ class DegreeMismatch(ValidationError):
     pass
 
 
-class InvalidCycle(ValidationError):
-    """A permutation meant as a single cycle is not one."""
-
-
 class NotCompact(ValidationError):
     pass
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch, UnknownFixture, UnknownSolid, ValidationError
-from .graph import Graph, GraphSpec, _permutation_matrix, build_graph
+from .graph import Graph, GraphSpec, build_graph
 from .local import LocalScattering, constant_local, kirchhoff_local, momentum_local
 
 __all__ = [
@@ -18,10 +18,7 @@ __all__ = [
     "platonic",
     "commuting_colour_matrices",
     "triangle_and_star_pair",
-    "triangle_star_permutation",
     "canonical",
-    "PLATONIC_SOLIDS",
-    "CANONICAL_FIXTURES",
 ]
 
 
@@ -165,7 +162,8 @@ def commuting_colour_matrices(c: Colouring):
     n = c.vertex_count
     mats = []
     for a in range(c.colour_count):
-        mat = _permutation_matrix([row[a] for row in c.neighbor], n, "colour %d" % a)
+        mat = np.zeros((n, n))
+        mat[[row[a] for row in c.neighbor], range(n)] = 1.0
         mat.flags.writeable = False
         mats.append(mat)
     commute = all(
@@ -190,9 +188,6 @@ _STAR_MAP = (
     (0, 2),
     (2, 1),
 )
-
-# star internal slot k corresponds to triangle internal slot _PICK[k]
-_PICK = (0, 2, 3, 5, 1, 4)
 
 
 def _coerce_triangle_locals(locals_):
@@ -264,13 +259,6 @@ def triangle_and_star_pair(d12: float, d13: float, d23: float, locals_=None):
         Fixture(tri_graph, tuple(tri_locals)),
         Fixture(star_graph, (star_local,)),
     )
-
-
-def triangle_star_permutation() -> np.ndarray:
-    """Permutation matrix P relating the two internal slot orders of
-    triangle_and_star_pair: P S22 P^T of the triangle system equals
-    the star's internal block."""
-    return _permutation_matrix(np.argsort(_PICK), 6, "triangle/star")
 
 
 CANONICAL_FIXTURES = ("line2", "interval_compact", "tadpole", "fabry_perot")

@@ -13,13 +13,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DanglingVertexReference,
     DisconnectedGraph,
     NonPositiveLength,
-    SizeMismatch,
     ValidationError,
 )
 
@@ -32,8 +29,6 @@ __all__ = [
     "ModeIndex",
     "build_graph",
     "mode_index",
-    "external_permutation",
-    "internal_permutation",
 ]
 
 
@@ -112,10 +107,6 @@ class Graph:
 
     def degree(self, vertex: int) -> int:
         return self.external_degree(vertex) + self.internal_degree(vertex)
-
-    @property
-    def total_internal_length(self) -> float:
-        return sum(e.length for e in self.internal_edges)
 
 
 @dataclass(frozen=True)
@@ -286,30 +277,3 @@ def mode_index(g: Graph) -> ModeIndex:
         vertex_external=vertex_external,
         vertex_internal=vertex_internal,
     )
-
-
-def _permutation_matrix(perm, expected_size: int, what: str) -> np.ndarray:
-    perm = list(perm)
-    if len(perm) != expected_size:
-        raise SizeMismatch(
-            "%s permutation has %d entries, expected %d"
-            % (what, len(perm), expected_size)
-        )
-    if sorted(perm) != list(range(expected_size)):
-        raise ValidationError("%s permutation is not a bijection" % what)
-    mat = np.zeros((expected_size, expected_size))
-    for old, new in enumerate(perm):
-        mat[new, old] = 1.0
-    return mat
-
-
-def external_permutation(g: Graph, pi) -> np.ndarray:
-    """Permutation matrix on external slots; pi[i] is the new position
-    of slot i, so a relabeled matrix is P S P^T."""
-    return _permutation_matrix(pi, g.n_external, "external")
-
-
-def internal_permutation(g: Graph, rho) -> np.ndarray:
-    """Permutation matrix on directed internal slots, same convention
-    as external_permutation."""
-    return _permutation_matrix(rho, 2 * g.n_internal, "internal")

@@ -13,18 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegreeMismatch, InvalidCycle, NotInvolutive, SizeMismatch
-from .graph import _permutation_matrix
+from .errors import DegreeMismatch, NotInvolutive, SizeMismatch
 
 __all__ = [
     "LocalScattering",
-    "INVOLUTION_TOL",
     "constant_local",
     "momentum_local",
     "kirchhoff_local",
     "tetra2_local",
-    "FAMILIES",
-    "check_rotation_invariance",
 ]
 
 INVOLUTION_TOL = 1e-10
@@ -163,37 +159,3 @@ def tetra2_local(vertex: int, degree: int = 4) -> LocalScattering:
 
 # the named families of spec files: name -> builder(vertex, degree)
 FAMILIES = {"kirchhoff": kirchhoff_local, "tetra2": tetra2_local}
-
-
-def check_rotation_invariance(s: LocalScattering, cycle) -> bool:
-    """True when conjugating by the given cyclic permutation of the
-    internal slots (slot 0 held fixed) leaves the matrix unchanged
-    within 1e-12.
-
-    ``cycle`` permutes the internal slots 0..n-1 of a vertex with one
-    external slot and n >= 1 internal slots, and must be a single n-cycle.
-    """
-    cycle = list(cycle)
-    n = s.size - 1
-    if n < 1 or len(cycle) != n or sorted(cycle) != list(range(n)):
-        raise InvalidCycle(
-            "expected a permutation of %d internal slots, at least 1, got %r" % (n, cycle)
-        )
-    # single-cycle check: the orbit of 0 must have length n
-    seen = 0
-    pos = 0
-    while True:
-        pos = cycle[pos]
-        seen += 1
-        if pos == 0:
-            break
-    if seen != n:
-        raise InvalidCycle("permutation %r is not a single %d-cycle" % (cycle, n))
-
-    rot = _permutation_matrix([0, *(1 + new for new in cycle)], s.size, "rotation")
-
-    if s.is_constant:
-        mats = [s.constant]
-    else:
-        mats = [s.matrix(p) for p in _SAMPLE_MOMENTA]
-    return all(float(np.max(np.abs(rot @ m @ rot.T - m))) < 1e-12 for m in mats)

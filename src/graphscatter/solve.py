@@ -38,7 +38,6 @@ from .local import _involution_defect, _unitarity_defect
 
 __all__ = [
     "TotalSMatrix",
-    "NEAR_POLE_RTOL",
     "scattering_grid",
     "grid_defects",
     "total_scattering",
@@ -70,13 +69,8 @@ class TotalSMatrix:
     resolvent matrix E - s22 it was computed from."""
 
     matrix: np.ndarray
-    momentum: complex
     sigma_min: float
     sigma_max: float
-
-    @property
-    def condition_report(self) -> tuple[float, float]:
-        return (self.sigma_min, self.sigma_max)
 
 
 def _solve(m: np.ndarray, b: np.ndarray):
@@ -241,7 +235,7 @@ def total_scattering(g: Graph, locals_, idx: ModeIndex, p: complex) -> TotalSMat
     itself and no conditioning probe applies.
     """
     s_tot, _, s_min, s_max = _one_point(g, locals_, idx, p)
-    return TotalSMatrix(s_tot, p, s_min, s_max)
+    return TotalSMatrix(s_tot, s_min, s_max)
 
 
 def internal_modes(g: Graph, locals_, idx: ModeIndex, p: complex, external) -> np.ndarray:

@@ -285,13 +285,14 @@ def _eigen_groups(u: np.ndarray, eigen, norm: float):
     group are scaled to (W_g^H V_g)^-1 W_g^H. Returns the eigenvalues,
     the right eigenvectors, the rows W^H with W_g^H V_g = I on every
     group (NaN on a group that got more or fewer left than right
-    eigenvectors, or a singular W_g^H V_g) and each group's index array.
+    eigenvectors, a singular W_g^H V_g or rows whose norms overflow) and
+    each group's index array.
     """
     lam, right = eigen
     left = _left_rows(right)
     if left is None:
         mu, unit_left = np.linalg.eig(u.T)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             spread = 1.0 / np.max(np.abs(unit_left.T @ right), axis=0)
     else:
         spread = np.linalg.norm(left, axis=1)
@@ -315,9 +316,13 @@ def _eigen_groups(u: np.ndarray, eigen, norm: float):
             rows = unit_left[:, left_group == label].T
             if len(rows) == len(members):
                 try:
-                    left[members] = np.linalg.solve(rows @ right[:, members], rows)
+                    solved = np.linalg.solve(rows @ right[:, members], rows)
                 except np.linalg.LinAlgError:
-                    pass
+                    continue
+                # the rule of _left_rows: rows whose norms overflow stay NaN
+                with np.errstate(all="ignore"):
+                    if np.all(np.isfinite(np.linalg.norm(solved, axis=1))):
+                        left[members] = solved
     return lam, right, left, groups
 
 

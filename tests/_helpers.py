@@ -77,6 +77,26 @@ def compact_rational_ring(seed, n=20, chords=10):
     return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
 
 
+def contract_spec(rng):
+    """A random graph file document for the CLI contract fuzzer: 1-5
+    vertices on a random spanning tree plus up to 2 extra edges, loops
+    and parallel edges included, integer lengths 1-3 with lengths_unit
+    1, 0-2 leads and the default Kirchhoff vertex data. Vertices are
+    1-based, as in the file format."""
+    n = int(rng.integers(1, 6))
+    pairs = [(int(rng.integers(1, v + 1)), v + 1) for v in range(1, n)]
+    pairs += [(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+              for _ in range(int(rng.integers(0, 3)))]
+    return {
+        "vertices": n,
+        "internal_edges": [{"u": u, "v": v, "length": int(rng.integers(1, 4))}
+                           for u, v in pairs],
+        "external_edges": [{"vertex": int(rng.integers(1, n + 1))}
+                           for _ in range(int(rng.integers(0, 3)))],
+        "lengths_unit": 1,
+    }
+
+
 def block_diag(*mats):
     """Block-diagonal matrix with the given square blocks in order."""
     out = np.zeros((sum(len(m) for m in mats),) * 2, dtype=complex)

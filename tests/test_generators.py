@@ -17,7 +17,6 @@ from graphscatter import (
     platonic,
     total_scattering,
     triangle_and_star_pair,
-    triangle_star_permutation,
 )
 from graphscatter.assemble import assemble_blocks
 from _helpers import random_involutive
@@ -182,7 +181,10 @@ def test_triangle_star_momentum_dependent_locals():
 
 
 def test_triangle_star_permutation_matrix():
-    perm = triangle_star_permutation()
+    # star internal slot k corresponds to triangle internal slot pick[k]
+    pick = (0, 2, 3, 5, 1, 4)
+    perm = np.zeros((6, 6))
+    perm[range(6), pick] = 1.0
     assert perm.shape == (6, 6)
     assert np.array_equal(perm @ perm.T, np.eye(6))
     rng = np.random.default_rng(73)

@@ -6,11 +6,8 @@ from graphscatter import (
     DisconnectedGraph,
     GraphSpec,
     NonPositiveLength,
-    SizeMismatch,
     ValidationError,
     build_graph,
-    external_permutation,
-    internal_permutation,
     mode_index,
 )
 from _helpers import random_graph
@@ -25,7 +22,7 @@ def test_build_graph_counts():
     assert g.vertex_count == 3
     assert g.n_internal == 3
     assert g.n_external == 3
-    assert g.total_internal_length == pytest.approx(4.5)
+    assert sum(e.length for e in g.internal_edges) == pytest.approx(4.5)
     assert [g.degree(v) for v in range(3)] == [3, 3, 3]
 
 
@@ -138,20 +135,3 @@ def test_external_order_by_vertex_then_attachment():
     assert idx.vertex_external[0] == (0,)
     assert idx.vertex_external[1] == (1, 2)
 
-
-def test_permutation_builders():
-    g = build_graph(triangle_spec())
-    perm = [2, 0, 1]
-    pi = external_permutation(g, perm)
-    assert pi.shape == (3, 3)
-    for src, dst in enumerate(perm):
-        assert pi[dst, src] == 1.0
-    assert np.array_equal(pi @ pi.T, np.eye(3))
-    rho = internal_permutation(g, [5, 4, 3, 2, 1, 0])
-    assert rho.shape == (6, 6)
-    with pytest.raises(SizeMismatch):
-        external_permutation(g, [0, 1])
-    with pytest.raises(SizeMismatch):
-        internal_permutation(g, [0, 1, 2])
-    with pytest.raises(ValidationError):
-        external_permutation(g, [0, 0, 1])

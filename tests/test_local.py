@@ -4,9 +4,7 @@ import pytest
 from graphscatter import (
     DegreeMismatch,
     NotInvolutive,
-    InvalidCycle,
     SizeMismatch,
-    check_rotation_invariance,
     constant_local,
     kirchhoff_local,
     momentum_local,
@@ -146,36 +144,8 @@ def test_random_involutive_helper():
 
 
 def test_rotation_invariance_families():
-    assert check_rotation_invariance(kirchhoff_local(0, 4), [1, 2, 0])
-    assert check_rotation_invariance(tetra2_local(0), [1, 2, 0])
-    # a matrix that treats internal slots asymmetrically fails
-    lopsided = constant_local(0, np.diag([1.0, 1.0, -1.0, 1.0]))
-    assert not check_rotation_invariance(lopsided, [1, 2, 0])
-
-
-def test_rotation_invariance_of_momentum_dependent_matrices():
-    # delta coupling on 1 + 3 slots, S(p) = 2 J / (4 + i a / p) - I,
-    # which treats all slots alike
-    def delta(p):
-        return 2.0 * np.ones((4, 4)) / (4.0 + 0.8j / p) - np.eye(4)
-
-    assert check_rotation_invariance(momentum_local(0, 4, delta), [1, 2, 0])
-    # rescaling internal slot 1 by 1 + p^2 (even in p, so still an
-    # involution) breaks the symmetry away from p = 0
-    def scaled(p):
-        d = np.diag([1.0, 1.0, 1.0 + p * p, 1.0])
-        return d @ delta(p) @ np.linalg.inv(d)
-
-    assert not check_rotation_invariance(momentum_local(0, 4, scaled), [1, 2, 0])
-
-
-def test_rotation_invariance_rejects_non_cycles():
-    # a one-slot vertex has no internal slot to rotate
-    with pytest.raises(InvalidCycle):
-        check_rotation_invariance(constant_local(0, [[1.0]]), [])
-    with pytest.raises(InvalidCycle):
-        check_rotation_invariance(kirchhoff_local(0, 4), [0, 1])
-    with pytest.raises(InvalidCycle):
-        check_rotation_invariance(kirchhoff_local(0, 4), [0, 2, 1])
-    with pytest.raises(InvalidCycle):
-        check_rotation_invariance(kirchhoff_local(0, 4), [1, 0, 2])
+    # the 3-cycle of the internal slots 1 -> 2 -> 3 -> 1, slot 0 held fixed
+    rot = np.zeros((4, 4))
+    rot[[0, 2, 3, 1], range(4)] = 1.0
+    for loc in (kirchhoff_local(0, 4), tetra2_local(0)):
+        assert np.max(np.abs(rot @ loc.constant @ rot.T - loc.constant)) < 1e-12

@@ -13,19 +13,21 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 SRC = os.path.dirname(os.path.dirname(graphscatter.__file__))
 
 # every name the package exported when it imported its submodules eagerly,
-# less FitResidualTooLarge, which went with the coefficient form of the
-# secular polynomial
+# less the announced removals: FitResidualTooLarge, which went with the
+# coefficient form of the secular polynomial, and the permutation builders,
+# check_rotation_invariance, InvalidCycle and triangle_star_permutation,
+# which no command read
 EXPORTED = {
     "errors": ["DanglingVertexReference", "DegenerateConstantPolynomial", "DegreeMismatch",
                "DisconnectedGraph", "EmptyInterval", "GraphScatterError",
-               "IncommensurableLengths", "InvalidCycle", "MissingVertexMatrix", "NearPole",
+               "IncommensurableLengths", "MissingVertexMatrix", "NearPole",
                "NonConstantLocals", "NonPositiveLength", "NotCompact", "NotInvolutive",
                "NumericalError", "ReductionNotApplicable", "SeriesDiverges", "SizeMismatch",
                "SpecFileError", "UnknownFixture", "UnknownSolid", "ValidationError"],
     "graph": ["ExternalEdge", "Graph", "GraphSpec", "InternalEdge", "LocalSpec", "ModeIndex",
-              "build_graph", "external_permutation", "internal_permutation", "mode_index"],
-    "local": ["LocalScattering", "check_rotation_invariance", "constant_local",
-              "kirchhoff_local", "momentum_local", "tetra2_local"],
+              "build_graph", "mode_index"],
+    "local": ["LocalScattering", "constant_local", "kirchhoff_local", "momentum_local",
+              "tetra2_local"],
     "assemble": ["BlockSystem", "PropagationMatrix", "assemble_blocks",
                  "assemble_propagation", "resolve_locals"],
     "solve": ["TotalSMatrix", "grid_defects", "internal_modes", "path_sum_oracle",
@@ -34,7 +36,7 @@ EXPORTED = {
                  "find_poles", "secular_determinant", "secular_polynomial",
                  "symmetry_factor_check"],
     "generators": ["Colouring", "Fixture", "canonical", "commuting_colour_matrices", "platonic",
-                   "triangle_and_star_pair", "triangle_star_permutation"],
+                   "triangle_and_star_pair"],
     "specfile": ["graph_to_spec", "load_spec", "locals_from_spec", "parse_spec", "save_spec",
                  "spec_to_dict"],
 }
@@ -66,6 +68,7 @@ for module, names in exported.items():
     # through the package first, so the lazy path runs before the import
     got = [getattr(graphscatter, name) for name in names]
     sub = importlib.import_module("graphscatter." + module)
+    assert sorted(getattr(sub, "__all__", names)) == sorted(names), module
     assert got == [getattr(sub, name) for name in names], module
     assert all(a is getattr(sub, b) for a, b in zip(got, names)), module
     assert graphscatter.__dict__[module] is sub

@@ -959,6 +959,32 @@ def test_left_rows_refuse_an_inverse_whose_row_norms_overflow():
     assert np.max(np.abs(lam)) <= 1e-200
 
 
+def test_find_poles_where_fallback_rows_overflow():
+    # nilpotent bond chains: line2 at two bonds per edge, and one edge
+    # from a lead vertex to a dead end. The eig(u^T) fallback solves left
+    # rows with norms beyond the float range; they stay NaN, with no
+    # RuntimeWarning, and every root is 0
+    line = canonical("line2")
+    stub = build_graph(GraphSpec(2, ((0, 1, 1.0),), (0,)))
+    cases = [(line.graph, list(line.locals), 0.5),
+             (stub, [kirchhoff_local(0, 2), kirchhoff_local(1, 1)], 1.0)]
+    for g, locs, unit in cases:
+        poly = secular_polynomial(g, locs, mode_index(g), unit)
+        assert spectral._left_rows(poly.bond.eigenvectors) is None
+        assert find_poles(poly, include_removable=True) == []
+    # a Kirchhoff loop of length 8 at a lead vertex, fed by a second lead
+    # over a degree-2 vertex: the reciprocal of a fallback overlap
+    # overflows, and the 8 roots on the unit circle are removable
+    g = build_graph(GraphSpec(5, ((0, 1, 3.0), (1, 2, 2.0), (2, 3, 2.0), (1, 4, 1.0),
+                                  (3, 0, 1.0)), (1, 4)))
+    locs = [kirchhoff_local(v, g.degree(v)) for v in range(5)]
+    poly = secular_polynomial(g, locs, mode_index(g), 1.0)
+    records = find_poles(poly, include_removable=True)
+    assert len(records) == 8 and all(r.removable for r in records)
+    assert max(abs(abs(r.zeta) - 1.0) for r in records) < 1e-12
+    assert find_poles(poly) == []
+
+
 def test_left_rows_refuse_an_inverse_that_fails_its_check():
     # unit columns 1e-12 apart: V^-1 is finite, but V^-1 V is off I by
     # far more than BIORTHOGONAL_TOL
