@@ -18,8 +18,11 @@ sweep solves M(p) X = E(0) [s21 | Omega] for a whole grid as one
 stack, so X = (E(p) - s22)^-1 [s21 | Omega]. Omega is a fixed, seeded
 block of random probe columns whose solutions bound |M^-1|_2 (Dixon's
 estimator), so exact singular values are taken only where the bound
-cannot rule out a pole. A truncated multiple-reflection series is
-provided as an independent oracle for testing.
+cannot rule out a pole. With real momenta and real constant vertex
+data, M(-p) = conj M(p) and S_tot(-p) = conj S_tot(p), so a grid that
+holds both p and -p factors only p and mirrors the row of -p. A
+truncated multiple-reflection series is provided as an independent
+oracle for testing.
 """
 
 from __future__ import annotations
@@ -199,15 +202,55 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
         yield chunk, s_tot, m, core, bound, near, sigma
 
 
+def _real_unsigned(c: np.ndarray) -> bool:
+    """Whether the complex array c is real and holds no -0.0. S_tot is
+    s11 + s12 core, and a -0.0 in s11 is the one term that can carry a
+    zero's sign from the solve into S_tot, where the signs at p and -p
+    need not mirror; with +0.0 every zero of S_tot comes out +0.0."""
+    return not (c.imag.any() or np.signbit(c.imag).any()
+                or np.signbit(c.real[c.real == 0.0]).any())
+
+
 def scattering_grid(g: Graph, locals_, idx: ModeIndex, momenta):
     """S_tot at every momentum of a grid: (stack, near_pole), the
     (P, N_e, N_e) stack and the boolean (P,) mask of momenta near a
-    pole, whose rows of the stack are NaN."""
+    pole, whose rows of the stack are NaN.
+
+    With real momenta and constant vertex matrices that are real and
+    hold no -0.0 (_real_unsigned), M(-p) = conj M(p), so S_tot(-p) =
+    conj S_tot(p) bit for bit: a negative momentum whose negation is
+    also in the grid is not solved. Its row is the conjugate of that
+    partner's row, with an exact-zero imaginary part kept +0.0 as the
+    solve leaves it, and it takes the partner's flag. M(-p) has the singular values of M(p), so the exact
+    SVD gives both the same verdict; only the probe's realisation would
+    differ, which could change which points get an exact SVD with
+    probability at most 10^-_PROBES per point. Zero, unpaired momenta,
+    complex momenta and complex or momentum-dependent vertex data are
+    solved point by point. Phase overflow is refused on the whole grid
+    before any row is mirrored, so the message names the momentum that
+    solving every point would name.
+    """
+    momenta = np.asarray(momenta)
+    _refuse_phase_overflow(idx, momenta)
+    locals_ = list(locals_)
+    pairs = []
+    if np.isrealobj(momenta) and all(loc.is_constant and _real_unsigned(loc.constant)
+                                     for loc in locals_):
+        values = momenta.tolist()
+        positive = {p: k for k, p in enumerate(values) if p > 0}
+        pairs = [(k, positive[-p]) for k, p in enumerate(values) if p < 0 and -p in positive]
+    mirrored, source = np.array(pairs, dtype=int).reshape(-1, 2).T
+    solved = np.ones(len(momenta), dtype=bool)
+    solved[mirrored] = False
+    at = np.flatnonzero(solved)
     stack = np.empty((len(momenta), g.n_external, g.n_external), dtype=complex)
     near = np.zeros(len(momenta), dtype=bool)
-    for chunk, s_tot, _, _, _, flags, _ in _resolvent_chunks(g, locals_, idx, momenta):
-        stack[chunk] = s_tot
-        near[chunk] = flags
+    for chunk, s_tot, _, _, _, flags, _ in _resolvent_chunks(g, locals_, idx, momenta[solved]):
+        stack[at[chunk]] = s_tot
+        near[at[chunk]] = flags
+    stack[mirrored] = stack[source].conj()
+    stack.imag[mirrored] += 0.0
+    near[mirrored] = near[source]
     stack[near] = complex(nan, nan)
     return stack, near
 
@@ -302,7 +345,10 @@ def grid_defects(g: Graph, locals_, idx: ModeIndex, momenta):
     """(involution, unitarity, near_pole) of S_tot as (P,) arrays, from
     one grid solve over the momenta and their negatives. A point is
     flagged (defects NaN) when p or -p is near a pole; a graph without
-    external edges has zero defects and no flags."""
+    external edges has zero defects and no flags. Where scattering_grid
+    mirrors -p (real p, real constant vertex data), the involution
+    defect is that of S_tot(p) conj S_tot(p), the same numbers a solve
+    at -p gives."""
     p = np.asarray(momenta)
     if g.n_external == 0:
         return np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p), dtype=bool)

@@ -77,6 +77,19 @@ def compact_rational_ring(seed, n=20, chords=10):
     return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
 
 
+def lead_ring(n, seed):
+    """Ring of n unit edges plus n // 2 random unit chords and 6 leads,
+    Kirchhoff vertices."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    for _ in range(n // 2):
+        a, b = rng.choice(n, 2, replace=False)
+        edges.append((int(a), int(b), 1.0))
+    leads = tuple(int(v) for v in rng.choice(n, 6, replace=False))
+    g = build_graph(GraphSpec(n, tuple(edges), leads))
+    return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
+
+
 def contract_spec(rng):
     """A random graph file document for the CLI contract fuzzer: 1-5
     vertices on a random spanning tree plus up to 2 extra edges, loops

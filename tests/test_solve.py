@@ -23,7 +23,7 @@ from graphscatter import (
 )
 from graphscatter import assemble, solve
 from graphscatter.assemble import assemble_blocks, assemble_propagation
-from _helpers import count_calls, nonpole_momentum, random_graph, random_locals
+from _helpers import count_calls, lead_ring, nonpole_momentum, random_graph, random_locals
 
 
 def test_line2_closed_form():
@@ -325,9 +325,10 @@ def test_scattering_grid_exactly_singular_point_mid_chunk(monkeypatch):
         constant_local(2, [[0, 1], [1, 0]]),
     ]
     monkeypatch.setattr(solve, "_CHUNK_ELEMENTS", 3 * idx.n_internal_slots ** 2)
-    momenta = [0.4, 0.0, 1.1, 2.5, np.pi, 3.3, 4.0, 5.2]
+    # -pi is mirrored from pi, the real data's partner point
+    momenta = [0.4, 0.0, 1.1, 2.5, np.pi, 3.3, 4.0, 5.2, -np.pi]
     stack, near = scattering_grid(g, locs, idx, momenta)
-    assert near.tolist() == [False, True, False, False, True, False, False, False]
+    assert near.tolist() == [False, True, False, False, True, False, False, False, True]
     assert np.isnan(stack[near]).all()
     for p, flagged, mat in zip(momenta, near, stack):
         if not flagged:
@@ -336,6 +337,87 @@ def test_scattering_grid_exactly_singular_point_mid_chunk(monkeypatch):
             assert np.array_equal(mat, total_scattering(g, locs, idx, p).matrix)
     with pytest.raises(NearPole):
         total_scattering(g, locs, idx, 0.0)
+
+
+def _factored(calls):
+    """Matrices factored over the recorded calls of solve._solve."""
+    return sum(len(m) for m, _ in calls)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scattering_grid_mirrors_negative_momenta_of_real_data(order, monkeypatch):
+    # constant real vertex data, in either memory layout: M(-p) = conj
+    # M(p), so a -p whose p is in the grid is the conjugate of p's row and
+    # is not factored; 0.0 and the unpaired p3 are
+    g, locs, idx = lead_ring(20, 3)
+    locs = [constant_local(loc.vertex, np.asarray(loc.constant, order=order)) for loc in locs]
+    calls = count_calls(monkeypatch, solve, "_solve")
+    p1, p2, p3 = 0.7, 2.3, 4.1
+    momenta = [p1, p2, -p1, -p2, p3, 0.0]
+    stack, near = scattering_grid(g, locs, idx, momenta)
+    assert _factored(calls) == 4
+    for minus, plus in ((2, 0), (3, 1)):
+        assert np.array_equal(stack[minus], stack[plus].conj())
+        assert near[minus] == near[plus]
+        alone, alone_near = scattering_grid(g, locs, idx, [momenta[minus]])
+        assert np.max(np.abs(stack[minus] - alone[0])) <= 1e-12 * np.max(np.abs(alone[0]))
+        assert alone_near[0] == near[minus]
+
+
+def test_scattering_grid_factors_every_point_of_complex_or_varying_data(monkeypatch):
+    rng = np.random.default_rng(508)
+    g, locs, idx = lead_ring(20, 3)
+    v = g.external_edges[0].vertex
+    dressed = list(locs)
+    dressed[v] = _dressed(v, locs[v], rng.uniform(0.0, 0.3, size=idx.vertex_slot_count(v)))
+    real_pm = [0.7, -0.7, 2.3, -2.3]
+    calls = count_calls(monkeypatch, solve, "_solve")
+    for data, momenta in ((random_locals(rng, g, idx, unitary=True), real_pm),
+                          (dressed, real_pm),
+                          (locs, [0.7 + 0.1j, -0.7 - 0.1j, 0.7, -0.7])):
+        calls.clear()
+        scattering_grid(g, data, idx, momenta)
+        assert _factored(calls) == 4
+
+
+def test_negative_zero_vertex_data_is_solved_at_every_point(monkeypatch):
+    # a -0.0 in s11 can keep the sign of a zero of s12 core, and those
+    # signs at p and -p need not mirror: with this data S_tot(-p) holds
+    # -0.0 where S_tot(p) holds +0.0, so no row is mirrored
+    g = build_graph(GraphSpec(2, ((0, 1, 2.0077306173564837),), (0, 1, 0)))
+    idx = mode_index(g)
+    z = complex(-0.0, 0.0)
+    locs = [constant_local(0, [[1, z, 0], [z, 1, 0], [0, 0, 1]]),
+            constant_local(1, [[-1, z], [z, -1]])]
+    p = 2.173216975960084
+    calls = count_calls(monkeypatch, solve, "_solve")
+    stack, _ = scattering_grid(g, locs, idx, [p, -p])
+    assert _factored(calls) == 2
+    alone, _ = scattering_grid(g, locs, idx, [-p])
+    assert stack[1].tobytes() == alone[0].tobytes()
+
+
+def test_phase_overflow_names_the_first_momentum_of_the_grid():
+    # refused on the whole grid, not on the points left after mirroring
+    g = build_graph(GraphSpec(2, ((0, 1, 10.0),), (0,)))
+    locs = [kirchhoff_local(0, 2), kirchhoff_local(1, 1)]
+    with pytest.raises(ValidationError, match=r"^momentum p=-1e\+308 "):
+        scattering_grid(g, locs, mode_index(g), [-1e308, 1e308])
+
+
+def test_mirrored_zero_imaginary_parts_stay_positive():
+    # solved at -p, S_tot = s11 + s12 core takes the +0.0 imaginary part
+    # of the real s11, so its zeros print as 0.0; a conjugate alone would
+    # give -0.0
+    fix = canonical("line2")
+    idx = mode_index(fix.graph)
+    stack, near = scattering_grid(fix.graph, fix.locals, idx, [0.7, -0.7])
+    alone, _ = scattering_grid(fix.graph, fix.locals, idx, [-0.7])
+    zeros = stack[1].imag == 0.0
+    assert not near.any() and zeros.any()
+    assert np.array_equal(zeros, alone[0].imag == 0.0)
+    assert not np.signbit(stack[1].imag[zeros]).any()
+    assert np.max(np.abs(stack[1] - alone[0])) <= 1e-15
 
 
 def _certificate(g, locs, idx, momenta):

@@ -31,8 +31,8 @@ from graphscatter import (
     tetra2_local,
 )
 from graphscatter import solve, spectral
-from _helpers import (compact_rational_ring, count_calls, random_graph, random_involutive,
-                      random_locals)
+from _helpers import (compact_rational_ring, count_calls, lead_ring, random_graph,
+                      random_involutive, random_locals)
 
 
 def interval_system(r1=-1.0, r2=-1.0, length=1.0):
@@ -397,19 +397,6 @@ def test_commuting_colour_matrices_properties():
 
 
 # --- bond-matrix pole engine -------------------------------------------
-
-
-def lead_ring(n, seed):
-    """Ring of n unit edges plus n // 2 random unit chords and 6 leads,
-    Kirchhoff vertices."""
-    rng = np.random.default_rng(seed)
-    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    for _ in range(n // 2):
-        a, b = rng.choice(n, 2, replace=False)
-        edges.append((int(a), int(b), 1.0))
-    leads = tuple(int(v) for v in rng.choice(n, 6, replace=False))
-    g = build_graph(GraphSpec(n, tuple(edges), leads))
-    return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
 
 
 def assert_genuine(g, locs, idx, poly, records):
