@@ -136,9 +136,10 @@ def _refuse_range(p_min: float, p_max: float) -> None:
         raise ValidationError("need a finite width p_max - p_min, got [%r, %r]" % (p_min, p_max))
 
 
-def _resolvent_stack(idx: ModeIndex, bond: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _resolvent_stack(lengths: np.ndarray, bond: np.ndarray, p: np.ndarray) -> np.ndarray:
     """M(p) = D(p) - B, D(p) = diag(exp(-i p d_s)), at every momentum of
-    p, for one bond block B = E(0) s22 or one per momentum.
+    p, for the slot lengths d and one bond block B = E(0) s22 or one per
+    momentum.
 
     M(p) = E(0) (E(p) - s22) is the resolvent matrix with its rows in
     partner order, so it has the same singular values and Frobenius
@@ -146,8 +147,8 @@ def _resolvent_stack(idx: ModeIndex, bond: np.ndarray, p: np.ndarray) -> np.ndar
     -i diag(d) D(p).
     """
     m = np.negative(bond, out=np.empty((len(p), *bond.shape[-2:]), dtype=complex))
-    diagonal = np.arange(len(idx.slot_length))
-    m[:, diagonal, diagonal] += np.exp(-1j * p[:, None] * np.asarray(idx.slot_length))
+    diagonal = np.arange(len(lengths))
+    m[:, diagonal, diagonal] += np.exp(-1j * p[:, None] * lengths)
     return m
 
 
@@ -180,7 +181,7 @@ def _resolvent_chunks(g: Graph, locals_, idx: ModeIndex, momenta):
     for chunk in _chunks(idx.n_internal_slots, len(momenta)):
         p = momenta[chunk]
         s11, s12, s21, bond = fixed or _bond_blocks(g, resolved, idx, p.tolist())
-        m = _resolvent_stack(idx, bond, p)
+        m = _resolvent_stack(np.asarray(idx.slot_length), bond, p)
         rhs = np.empty((len(p), len(omega), g.n_external + _PROBES), dtype=complex)
         rhs[..., :g.n_external], rhs[..., g.n_external:] = s21, omega
         x, near = _solve(m, rhs)

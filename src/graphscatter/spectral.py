@@ -39,6 +39,12 @@ reach of its momentum, and disjoint reaches inside the window that add
 up to its count certify that none is missing. The residual, less its
 rounding slack, must prove each momentum to within ROOT_DEDUP_TOL
 max(1, |p|), so no reported momentum rests on a fixed step count.
+The determinant reads momentum only through the phases p L, so the
+engine picks its length unit once: every length times 2^-e, the
+longest in [1, 2), and every momentum times 2^e. Each product p L is
+then exactly the caller's, every tolerance holds in units of the
+longest edge, and a graph scaled by 2^k has the spectrum of the
+unscaled one over 2^k, bit for bit.
 """
 
 from __future__ import annotations
@@ -418,15 +424,17 @@ def _crossings(lo, hi) -> int:
     return round((hi[1] - lo[1]) / TWO_PI)
 
 
-def _cut(sample, p: float, step: float):
+def _cut(sample, p: float, step: float, e: int):
     """The phase sample at the first of p, p + step, p + 2 step and
     p + 3 step where every eigenphase is at least CUT_GAP from 0; a
-    NumericalError when there is none."""
+    NumericalError naming p times 2^-e, in the caller's unit, when there
+    is none."""
     for k in range(4):
         s = sample(p + k * step)
         if min(s[2], TWO_PI - s[3]) >= CUT_GAP:
             return s
-    raise NumericalError("spectrum: no eigenphase sample near p=%r is clear of 0" % p)
+    raise NumericalError("spectrum: no eigenphase sample near p=%r is clear of 0"
+                         % math.ldexp(p, -e))
 
 
 def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray):
@@ -475,25 +483,25 @@ def _contour_estimates(system, a: float, b: float, count: int, probe: np.ndarray
 def _refine(system, p: np.ndarray, x: np.ndarray):
     """One inverse-iteration and Rayleigh-functional step on every
     estimate at once, chunk by chunk; _certified judges the result.
+    system is the (lengths L, bond block B) pair of eigenmomenta.
 
     A'(p) = -i diag(L) U(p) is -i diag(L) on the null vectors of A(p),
-    so a step solves A(p) y = diag(L) x, the constant -i dropped and L
-    scaled exactly, by a power of two, into [1/2, 1) so that |y|^2 of
-    very short edges cannot underflow to 0, as
+    so a step solves A(p) y = diag(L) x, the constant -i dropped, as
     M(p) y = D(p) diag(L) x on M(p) = D(p) A(p) (_resolvent_stack),
     normalises y, and moves p by the Newton step of y^H A(p) y, with
     A(p) y read as D(-p) M(p) y: U(p) is unitary at real p, so the left
     null vector of A(p) is the right one, and the derivative there is
     -i y^H diag(L) y. Returns the moved momenta and the unit vectors y.
-    An exactly singular M(p) leaves p and x as they are.
+    An exactly singular M(p) leaves p and x as they are. The lengths are
+    in eigenmomenta's unit, the longest in [1, 2), so that |y|^2 of very
+    short edges cannot underflow to 0.
     """
-    lengths = np.asarray(system[0].slot_length)
-    scaled = np.ldexp(lengths, -np.frexp(lengths.max())[1])
+    lengths = system[0]
     p, x = p.copy(), x.copy()
     for part in _chunks(len(lengths), len(p)):
         m = _resolvent_stack(*system, p[part])
         phase = np.exp(-1j * p[part, None] * lengths)
-        y, singular = _solve(m, (phase * scaled * x[part])[..., None])
+        y, singular = _solve(m, (phase * lengths * x[part])[..., None])
         y = np.where(singular[:, None], x[part], y[..., 0])
         y /= np.linalg.norm(y, axis=1, keepdims=True)
         ay = (m @ y[..., None])[..., 0] / phase
@@ -507,7 +515,9 @@ def _refine(system, p: np.ndarray, x: np.ndarray):
 def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: int):
     """The refined momenta p in (a, b] with their unit vectors x as
     (momentum, multiplicity) groups, or None unless a residual bound
-    proves that they hold all count eigenmomenta there.
+    proves that they hold all count eigenmomenta there. system is the
+    (lengths L, bond block B) pair of eigenmomenta, in its unit, where
+    the longest edge lies in [1, 2).
 
     Momenta within ROOT_DEDUP_TOL of each other form one group of k
     members with centre c and Q, an orthonormal basis of their vectors
@@ -525,9 +535,10 @@ def _certified(system, p: np.ndarray, x: np.ndarray, a: float, b: float, count: 
     group's multiplicity, and no eigenmomentum is missed. The residual
     less the slack must prove c to within ROOT_DEDUP_TOL max(1, |c|),
     the resolution at which roots are merged; the slack's own reach is
-    left out, as no refinement shrinks it.
+    left out, as no refinement shrinks it. Both are in the engine's
+    unit, 2^-e times ROOT_DEDUP_TOL in the caller's momenta.
     """
-    lengths = np.asarray(system[0].slot_length)
+    lengths = system[0]
     inside = (p > a) & (p <= b)
     if np.count_nonzero(inside) != count or not np.all(np.isfinite(x[inside])):
         return None
@@ -562,14 +573,25 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     eigenphases rise with p and each crossing of 0 lowers the sum of
     the principal phases by 2 pi. The eigenmomenta in (a, b], with
     multiplicity, thus number ((b - a) sum(lengths) - sum phi(b)
-    + sum phi(a)) / 2 pi for any a < b, from two phase samples. The
-    range starts as one window. Beyn's contour integral around a window
-    (_contour_estimates) and one refinement step (_refine) place its
-    eigenmomenta, and it is kept only when the residuals of their null
-    vectors prove them all, with their multiplicities, each to within
-    ROOT_DEDUP_TOL max(1, |p|) beyond rounding (_certified); phase
-    samples only cut windows. A window is split in two while it holds
-    more than n / 2 eigenmomenta (n slots) and is wider than
+    + sum phi(a)) / 2 pi for any a < b, from two phase samples.
+
+    After refusing a range whose phases p L overflow, the engine takes
+    its unit: with e = frexp(max L)[1] - 1 it runs on the lengths times
+    2^-e, the longest in [1, 2), and on the range times 2^e, and maps
+    the roots back by 2^-e. Every product p L is exactly the caller's,
+    and every tolerance below holds in these units, so a distance of
+    ROOT_DEDUP_TOL is 2^-e ROOT_DEDUP_TOL in p. A graph with every
+    length times 2^k thus gives its roots divided by 2^k bit for bit,
+    and a graph whose longest edge lies in [1, 2) runs with e = 0.
+    Errors name momenta in the caller's unit.
+
+    The range starts as one window. Beyn's contour integral around a
+    window (_contour_estimates) and one refinement step (_refine) place
+    its eigenmomenta, and it is kept only when the residuals of their
+    null vectors prove them all, with their multiplicities, each to
+    within ROOT_DEDUP_TOL max(1, |p|) beyond rounding (_certified);
+    phase samples only cut windows. A window is split in two while it
+    holds more than n / 2 eigenmomenta (n slots) and is wider than
     pi / (2 max(lengths)), and when its certification fails; both are
     cut by one rule, at the first sample from its centre in steps of a
     sixteenth of its width where no phase is near 0 (_cut). A cut with no
@@ -589,14 +611,19 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
         return []
 
     n = len(bond)
-    sample = _phase_sampler(bond, np.asarray(idx.slot_length))
+    _refuse_phase_overflow(idx, np.array([p_min, p_max]))
+    # the engine's unit: lengths times 2^-e put the longest edge in [1, 2)
+    # and momenta times 2^e keep every product p L exactly; no end can
+    # overflow, as 2^e <= max L
+    e = math.frexp(max(idx.slot_length))[1] - 1
+    lengths, a, b = np.ldexp(idx.slot_length, -e), math.ldexp(p_min, e), math.ldexp(p_max, e)
+    sample = _phase_sampler(bond, lengths)
     # the range overhangs both ends so that a root on an end is inside it,
     # and an end with a root on it moves outward
-    lo_end, hi_end = p_min - ROOT_DEDUP_TOL, p_max + ROOT_DEDUP_TOL
-    _refuse_phase_overflow(idx, np.array([lo_end, hi_end]))
-    narrow = 0.5 * math.pi / max(idx.slot_length)
+    lo_end, hi_end = a - ROOT_DEDUP_TOL, b + ROOT_DEDUP_TOL
+    narrow = 0.5 * math.pi / float(lengths.max())
     quarter = 0.25 * min(hi_end - lo_end, narrow)
-    lo, hi = _cut(sample, lo_end, -quarter), _cut(sample, hi_end, quarter)
+    lo, hi = _cut(sample, lo_end, -quarter, e), _cut(sample, hi_end, quarter, e)
     total = (hi[1] - lo[1]) / TWO_PI
     if not total < MAX_GRID_POINTS:
         raise MemoryError("[%r, %r] holds %.3g eigenmomenta, beyond numpy's array size limit"
@@ -604,7 +631,7 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
     # the result must hold them all; numpy refuses at once to allocate an
     # array of them that the address space or the memory cannot hold
     np.empty(round(total))
-    system = (idx, bond)
+    system = (lengths, bond)
     probe = _probe_block(n, n)
     cap = max(1, n // 2)
     windows, roots = [(lo, hi)], []
@@ -619,18 +646,18 @@ def eigenmomenta(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):
             if found is not None:
                 roots += found
                 continue
-        mid = _cut(sample, 0.5 * (lo[0] + hi[0]), (hi[0] - lo[0]) / 16)
+        mid = _cut(sample, 0.5 * (lo[0] + hi[0]), (hi[0] - lo[0]) / 16, e)
         if not (hi[0] - lo[0] > ROOT_DEDUP_TOL and lo[0] < mid[0] < hi[0]):
             raise NumericalError("spectrum: could not place the %d eigenmomenta counted in "
-                                 "[%r, %r]" % (count, float(lo[0]), float(hi[0])))
+                                 "[%r, %r]" % (count, math.ldexp(lo[0], -e),
+                                               math.ldexp(hi[0], -e)))
         windows += [(mid, hi), (lo, mid)]
     # roots up to 1e-12 outside the interval move onto its ends
-    roots = [[float(min(max(p, p_min), p_max)), k] for p, k in sorted(roots)
-             if p_min - 1e-12 <= p <= p_max + 1e-12]
+    roots = [[min(max(p, a), b), k] for p, k in sorted(roots) if a - 1e-12 <= p <= b + 1e-12]
     for i in range(len(roots) - 1, 0, -1):
         if roots[i][0] - roots[i - 1][0] <= ROOT_DEDUP_TOL:
             roots[i - 1][1] += roots.pop(i)[1]
-    return [tuple(r) for r in roots]
+    return [(math.ldexp(p, -e), k) for p, k in roots]
 
 
 def compact_spectrum(g: Graph, locals_, idx: ModeIndex, p_min: float, p_max: float):

@@ -11,6 +11,7 @@ from graphscatter import (
     IncommensurableLengths,
     NonConstantLocals,
     NotCompact,
+    NumericalError,
     ReductionNotApplicable,
     ValidationError,
     assemble_blocks,
@@ -216,7 +217,9 @@ def test_compact_spectrum_scaled_interval():
 
 
 def test_compact_spectrum_of_very_short_loops_matches_the_scaled_graph():
-    # |y|^2 of lengths near 1e-300 underflows unless _refine scales them
+    # lengths near 1e-300 would underflow |y|^2 in the refinement step;
+    # eigenmomenta runs on them scaled by a power of two into [1, 2), so
+    # at 2^-996 the roots are those of the unscaled loops bit for bit
     def loops(scale):
         g = build_graph(GraphSpec(1, ((0, 0, 2 * scale), (0, 0, 3 * scale)), ()))
         return g, [kirchhoff_local(0, 4)], mode_index(g)
@@ -224,9 +227,55 @@ def test_compact_spectrum_of_very_short_loops_matches_the_scaled_graph():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = spectral.eigenmomenta(*loops(1e-300), 1e300, 3e300)
+        tiny = 2.0 ** -996
+        exact = spectral.eigenmomenta(*loops(tiny), 1.0 / tiny, 3.0 / tiny)
     want = spectral.eigenmomenta(*loops(1.0), 1.0, 3.0)
     assert [k for _, k in got] == [k for _, k in want] == [1, 1, 1]
     assert max(abs(p / 1e300 - q) / q for (p, _), (q, _) in zip(got, want)) < 1e-12
+    assert [(p * tiny, k) for p, k in exact] == want
+
+
+def ring_with_chord(lengths, chord, scale):
+    """Kirchhoff ring of the given edge lengths plus a chord between
+    vertex 0 and the opposite one, every length times scale."""
+    n = len(lengths)
+    edges = tuple((i, (i + 1) % n, length * scale) for i, length in enumerate(lengths))
+    g = build_graph(GraphSpec(n, edges + ((0, n // 2, chord * scale),), ()))
+    return g, [kirchhoff_local(v, g.degree(v)) for v in range(n)], mode_index(g)
+
+
+@pytest.mark.parametrize("lengths, chord, count", [
+    ((1.0, 1.1, 1.2, 1.3), 0.7, 16),
+    ((1.0, 1.1, 1.2) * 2, 1e-6, 20),
+], ids=["scaled-4-ring", "chord-ring-1e-6"])
+def test_eigenmomenta_scale_with_the_graph(lengths, chord, count):
+    # the secular determinant reads momentum only through the phases
+    # p L, so every length times s divides every eigenmomentum by s; for
+    # s = 2^k bit for bit, and within rounding for s = 10^k
+    def spectrum(s):
+        return spectral.eigenmomenta(*ring_with_chord(lengths, chord, s), 0.1 / s, 10.0 / s)
+
+    want = spectrum(1.0)
+    assert len(want) == count
+    for k in (-8, 2, 8, 9, 12):
+        s = 10.0 ** k
+        got = spectrum(s)
+        assert [m for _, m in got] == [m for _, m in want], s
+        assert max(abs(p * s - q) / q for (p, _), (q, _) in zip(got, want)) <= 1e-14, s
+    for k in (-250, -40, -1, 1, 30, 250):
+        s = 2.0 ** k
+        assert [(p * s, m) for p, m in spectrum(s)] == want, s
+
+
+def test_spectrum_errors_name_the_callers_momenta():
+    # chord ring 1e-7 still finds no clear cut near p = 1.904; the error
+    # names that momentum in the graph's own unit, so on the graph four
+    # times as long it names exactly a quarter of it
+    ring = (1.0, 1.1, 1.2) * 2
+    for s, p in ((1.0, "1.9039946343524032"), (4.0, "0.4759986585881008")):
+        with pytest.raises(NumericalError) as caught:
+            spectral.eigenmomenta(*ring_with_chord(ring, 1e-7, s), 0.1 / s, 10.0 / s)
+        assert str(caught.value) == "spectrum: no eigenphase sample near p=%s is clear of 0" % p
 
 
 def test_compact_spectrum_validates():
@@ -350,7 +399,8 @@ def test_certified_proves_each_group_by_its_residual():
     edges = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
     g = build_graph(GraphSpec(4, edges, ()))
     locs, idx = [kirchhoff_local(v, 3) for v in range(4)], mode_index(g)
-    system = (idx, assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)])
+    system = (np.asarray(idx.slot_length),
+              assemble_blocks(g, locs, idx, 0.0).int_int[list(idx.partner)])
     probe = solve._probe_block(12, 12)
     p, x = spectral._refine(system, *spectral._contour_estimates(system, 1.5, 2.5, 3, probe))
     (c, k), = spectral._certified(system, p, x, 1.5, 2.5, 3)
